@@ -20,8 +20,6 @@ from .words import (
     word,
 )
 from .groupoid import (
-    BaseFunctor,
-    BasePath,
     Edge,
     EdgePath,
     GroupoidFunctor,
@@ -38,7 +36,6 @@ from .groupoid import (
     path,
     path_compose,
     path_invert,
-    path_reduce,
     project,
     verify_lift,
 )

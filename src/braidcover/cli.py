@@ -9,6 +9,7 @@ exhaustion, 2 on a usage error.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import Sequence
 
@@ -71,9 +72,11 @@ def _print_matrix(matrix, mode: str) -> None:
 def _print_report(report: braid.Report, mode: str) -> None:
     for check in report.checks:
         if mode == "structured":
-            line = f"check={check.name} status={'pass' if check.passed else 'fail'}"
+            # names and details hold spaces and '=', so they print as JSON
+            # string literals: each line splits with shlex into key=value
+            line = f"check={json.dumps(check.name)} status={'pass' if check.passed else 'fail'}"
             if check.detail:
-                line += f" detail={check.detail}"
+                line += f" detail={json.dumps(check.detail)}"
             print(line)
         elif check.passed:
             print(f"PASS {check.name}")

@@ -7,22 +7,26 @@ i = 0..n.  Sheet indices are cyclic with period d.
 
 Self-functors of the free groupoid on this graph are stored as a vertex
 permutation plus an edge -> path table, with endpoint consistency checked at
-construction.  The base disk itself is modelled by the degenerate graph with
-a single edge per level; `project` collapses sheets onto it.
+construction.  The base disk is the same graph at d = 1, a single edge per
+level; `project` collapses sheets onto it.  Paths and functors accept any
+d >= 1, while the twist lifts need a genuine cover, d >= 2.
 
 Internally a directed edge step is a signed integer code: the forward edge
-e[i,j] has code i*d + j, a backward traversal the negated code.  Everything
-is immutable and pure.
+e[i,j] has code i*d + j, a backward traversal the negated code.  A path is
+thus a free-group word over edge codes that carries its endpoints, and it is
+reduced and mapped by the same kernels as words (`words._reduce_onto`,
+`words._substitute`).  Everything is immutable and pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple
 
 from . import words as _words
-from .errors import BudgetExceededError, EndpointMismatchError, ParameterMismatchError
+from .errors import EndpointMismatchError
+from .words import _reduce_onto, _same_params, _substitute
 
 
 class Vertex(NamedTuple):
@@ -59,6 +63,14 @@ def vertices(d: int, n: int) -> tuple[Vertex, ...]:
 def edges(d: int, n: int) -> tuple[Edge, ...]:
     """All (n+1)d edges ordered by (level, sheet)."""
     return tuple(Edge(i, j) for i in range(n + 1) for j in range(1, d + 1))
+
+
+def _check_graph(d: int, n: int) -> None:
+    """Like words.check_params, but d = 1 (the base disk) is allowed."""
+    if d < 1:
+        raise ValueError(f"parameter d must be >= 1, got d={d}")
+    if n < 2:
+        raise ValueError(f"parameter n must be >= 2, got n={n}")
 
 
 def _vertex_index(d: int, n: int, v: Vertex) -> int:
@@ -112,7 +124,7 @@ class EdgePath:
     steps: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _words.check_params(self.d, self.n)
+        _check_graph(self.d, self.n)
         _vertex_index(self.d, self.n, self.start)  # validates the vertex
         at = self.start
         prev = 0
@@ -149,28 +161,19 @@ class EdgePath:
         return format_path(self)
 
 
-def _reduce_steps(steps: Iterable[int]) -> tuple[int, ...]:
-    out: list[int] = []
-    budget = _words.LETTER_BUDGET
-    for s in steps:
-        if out and out[-1] == -s:
-            out.pop()
-        else:
-            out.append(s)
-            if len(out) > budget:
-                raise BudgetExceededError(f"path exceeds the letter budget of {budget}")
-    return tuple(out)
-
-
 def path(d: int, n: int, steps: Iterable, start: Vertex | None = None) -> EdgePath:
     """Path from (level, sheet, direction) triples, freely reduced.
 
     `start` is only needed for the empty path; otherwise it is inferred
     from the first step and the whole chain is checked for compatibility.
     """
-    _words.check_params(d, n)
-    codes = [direction * _edge_code(d, n, i, j) for (i, j, direction) in steps]
-    reduced = _reduce_steps(codes)
+    _check_graph(d, n)
+    codes = []
+    for (i, j, direction) in steps:
+        if direction not in (1, -1):
+            raise ValueError(f"step direction must be +1 or -1, got {direction}")
+        codes.append(direction * _edge_code(d, n, i, j))
+    reduced = _reduce_onto([], codes)
     if start is None:
         if not codes:
             raise ValueError("an empty path needs an explicit start vertex")
@@ -182,11 +185,6 @@ def empty_path(d: int, n: int, at: Vertex) -> EdgePath:
     return EdgePath(d, n, at, ())
 
 
-def path_reduce(d: int, n: int, steps: Iterable, start: Vertex | None = None) -> EdgePath:
-    """Free reduction of a raw step sequence; same contract as path()."""
-    return path(d, n, steps, start=start)
-
-
 def path_compose(p: EdgePath, q: EdgePath) -> EdgePath:
     """Concatenation, defined when p ends where q starts."""
     _same_params(p, q)
@@ -194,13 +192,7 @@ def path_compose(p: EdgePath, q: EdgePath) -> EdgePath:
         raise EndpointMismatchError(
             f"cannot compose: first path ends at {p.end}, second starts at {q.start}"
         )
-    out = list(p.steps)
-    for s in q.steps:
-        if out and out[-1] == -s:
-            out.pop()
-        else:
-            out.append(s)
-    return EdgePath(p.d, p.n, p.start, tuple(out))
+    return EdgePath(p.d, p.n, p.start, _reduce_onto(list(p.steps), q.steps))
 
 
 def path_invert(p: EdgePath) -> EdgePath:
@@ -210,13 +202,6 @@ def path_invert(p: EdgePath) -> EdgePath:
 def edge_path(d: int, n: int, i: int, j: int, direction: int = 1) -> EdgePath:
     """Single-step path along e[i,j]."""
     return path(d, n, [(i, j, direction)])
-
-
-def _same_params(a, b) -> None:
-    if (a.d, a.n) != (b.d, b.n):
-        raise ParameterMismatchError(
-            f"mixed ambient parameters: (d={a.d}, n={a.n}) vs (d={b.d}, n={b.n})"
-        )
 
 
 @dataclass(frozen=True)
@@ -262,46 +247,36 @@ class GroupoidFunctor:
         """Image of the edge e[i,j] (sheet wrapped mod d)."""
         return self.edge_images[_edge_code(self.d, self.n, i, j) - 1]
 
+    @cached_property
+    def _table(self) -> tuple[tuple[int, ...], ...]:
+        """Image steps indexed by edge code - 1, the `_substitute` table."""
+        return tuple(image.steps for image in self.edge_images)
+
 
 def apply_functor(F: GroupoidFunctor, p: EdgePath) -> EdgePath:
     """Image of a path: expand step by step, then freely reduce."""
     _same_params(F, p)
-    images = F.edge_images
-    out: list[int] = []
-    budget = _words.LETTER_BUDGET
-    for s in p.steps:
-        img = images[abs(s) - 1].steps
-        if s > 0:
-            for t in img:
-                if out and out[-1] == -t:
-                    out.pop()
-                else:
-                    out.append(t)
-        else:
-            for t in reversed(img):
-                if out and out[-1] == t:
-                    out.pop()
-                else:
-                    out.append(-t)
-        if len(out) > budget:
-            raise BudgetExceededError(f"path exceeds the letter budget of {budget}")
-    return EdgePath(F.d, F.n, F.vertex(p.start), tuple(out))
+    return EdgePath(F.d, F.n, F.vertex(p.start), _substitute(F._table, p.steps))
 
 
 def compose_functors(F: GroupoidFunctor, G: GroupoidFunctor) -> GroupoidFunctor:
     """Composite that applies F first, then G."""
     _same_params(F, G)
+    table = G._table
     return GroupoidFunctor(
         F.d,
         F.n,
         tuple(G.vertex(v) for v in F.vertex_images),
-        tuple(apply_functor(G, image) for image in F.edge_images),
+        tuple(
+            EdgePath(F.d, F.n, G.vertex(image.start), _substitute(table, image.steps))
+            for image in F.edge_images
+        ),
     )
 
 
 @lru_cache(maxsize=None)
 def identity_functor(d: int, n: int) -> GroupoidFunctor:
-    _words.check_params(d, n)
+    _check_graph(d, n)
     return GroupoidFunctor(
         d,
         n,
@@ -410,117 +385,36 @@ def dehn_twist(d: int, n: int, i: int, j: int) -> GroupoidFunctor:
 
 # -- the base disk and the sheet-collapsing projection -----------------------
 #
-# The base graph has vertices 0..n+1 and a single edge per level; its paths
-# and self-functors mirror the covering machinery in the degenerate d=1 case.
+# The base disk is the cover graph at d = 1: vertices 0..n+1 (boundary
+# vertices carry sheet 1) and a single edge e[i,1], with code i+1, per level.
 
-@dataclass(frozen=True)
-class BasePath:
-    """Freely reduced path in the base-disk graph (edge e[i] has code i+1)."""
-
-    n: int
-    start: int
-    steps: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.start <= self.n + 1:
-            raise ValueError(f"base vertex must be in 0..{self.n + 1}, got {self.start}")
-        at = self.start
-        prev = 0
-        for s in self.steps:
-            if s == -prev:
-                raise ValueError("base path is not freely reduced")
-            level = abs(s) - 1
-            if not 0 <= level <= self.n:
-                raise ValueError(f"base edge level must be in 0..{self.n}")
-            begin, end = (level, level + 1) if s > 0 else (level + 1, level)
-            if begin != at:
-                raise EndpointMismatchError(
-                    f"base step e[{level}] begins at {begin}, expected {at}"
-                )
-            at = end
-            prev = s
-
-    @property
-    def end(self) -> int:
-        if not self.steps:
-            return self.start
-        last = self.steps[-1]
-        return abs(last) if last > 0 else abs(last) - 1
-
-
-def base_path_reduce(n: int, steps: Iterable[int], start: int | None = None) -> BasePath:
-    raw = list(steps)
-    if start is None:
-        if not raw:
-            raise ValueError("an empty base path needs an explicit start vertex")
-        first = raw[0]
-        start = abs(first) - 1 if first > 0 else abs(first)
-    return BasePath(n, start, _reduce_steps(raw))
-
-
-@dataclass(frozen=True)
-class BaseFunctor:
-    """Self-functor of the base-disk graph."""
-
-    n: int
-    vertex_images: tuple[int, ...]  # indexed by vertex 0..n+1
-    edge_images: tuple[BasePath, ...]  # indexed by level 0..n
-
-    def __post_init__(self) -> None:
-        if sorted(self.vertex_images) != list(range(self.n + 2)):
-            raise ValueError("base vertex map is not a permutation")
-        for level, image in enumerate(self.edge_images):
-            if image.start != self.vertex_images[level] or image.end != self.vertex_images[level + 1]:
-                raise EndpointMismatchError(f"image of base edge e[{level}] has wrong endpoints")
-
-
-def base_half_twist(n: int, i: int) -> BaseFunctor:
+@lru_cache(maxsize=None)
+def base_half_twist(n: int, i: int) -> GroupoidFunctor:
     """Half twist on the base disk: swaps i, i+1; e[i] reverses, its
-    neighbours pick up e[i] on the appropriate side."""
-    if n < 2:
-        raise ValueError(f"parameter n must be >= 2, got n={n}")
+    neighbours pick up e[i] on the appropriate side.
+
+    Written out by hand rather than taken as lifted_half_twist(1, n, i), so
+    the lift/projection check compares two independent tables.
+    """
+    _check_graph(1, n)
     _check_twist_index(n, i)
-    vertex_images = list(range(n + 2))
-    vertex_images[i], vertex_images[i + 1] = i + 1, i
-    edge_images = []
-    for level in range(n + 1):
-        if level == i - 1:
-            steps: tuple[int, ...] = (level + 1, i + 1)
-        elif level == i:
-            steps = (-(i + 1),)
-        elif level == i + 1:
-            steps = (i + 1, level + 1)
-        else:
-            steps = (level + 1,)
-        start = vertex_images[level]
-        edge_images.append(BasePath(n, start, steps))
-    return BaseFunctor(n, tuple(vertex_images), tuple(edge_images))
+    return _functor(1, n, (i, i + 1), {
+        Edge(i - 1, 1): [(i - 1, 1, 1), (i, 1, 1)],
+        Edge(i, 1): [(i, 1, -1)],
+        Edge(i + 1, 1): [(i, 1, 1), (i + 1, 1, 1)],
+    })
 
 
-def apply_base_functor(F: BaseFunctor, p: BasePath) -> BasePath:
-    out: list[int] = []
-    for s in p.steps:
-        img = F.edge_images[abs(s) - 1].steps
-        seq = img if s > 0 else tuple(-t for t in reversed(img))
-        for t in seq:
-            if out and out[-1] == -t:
-                out.pop()
-            else:
-                out.append(t)
-    return BasePath(p.n, F.vertex_images[p.start], tuple(out))
+@lru_cache(maxsize=None)
+def _collapse_table(d: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Substitution e[i,j] -> e[i] from cover edge codes to base edge codes."""
+    return tuple(((code - 1) // d + 1,) for code in range(1, (n + 1) * d + 1))
 
 
-def project(p: EdgePath) -> BasePath:
+def project(p: EdgePath) -> EdgePath:
     """Collapse sheets: e[i,j] -> e[i], boundary columns merge to 0 and n+1."""
-    steps: list[int] = []
-    for s in p.steps:
-        level = (abs(s) - 1) // p.d
-        code = level + 1 if s > 0 else -(level + 1)
-        if steps and steps[-1] == -code:
-            steps.pop()
-        else:
-            steps.append(code)
-    return BasePath(p.n, p.start.level, tuple(steps))
+    start = Vertex(p.start.level, min(p.start.sheet, 1))
+    return EdgePath(1, p.n, start, _substitute(_collapse_table(p.d, p.n), p.steps))
 
 
 def verify_lift(d: int, n: int, i: int) -> bool:
@@ -528,10 +422,14 @@ def verify_lift(d: int, n: int, i: int) -> bool:
     on every generating edge."""
     lift = lifted_half_twist(d, n, i)
     base = base_half_twist(n, i)
-    for code in range(1, (n + 1) * d + 1):
-        level = (code - 1) // d
-        downstairs = BasePath(n, level, (level + 1,))
-        if project(lift.edge_images[code - 1]) != apply_base_functor(base, downstairs):
+    collapse = _collapse_table(d, n)
+    for code, image in enumerate(lift.edge_images, start=1):
+        # the base image is a validated path, so equal start level and equal
+        # collapsed steps mean project(image) equals it
+        want = base.edge_images[(code - 1) // d]
+        if image.start.level != want.start.level:
+            return False
+        if _substitute(collapse, image.steps) != want.steps:
             return False
     return True
 
@@ -558,7 +456,7 @@ def format_path(p: EdgePath) -> str:
 
 def parse_path(d: int, n: int, text: str) -> EdgePath:
     """Parse the path grammar; a lone vertex token is the empty path there."""
-    _words.check_params(d, n)
+    _check_graph(d, n)
     text = text.strip()
     if text.startswith("v"):
         if text.startswith("v0[") and text.endswith("]"):

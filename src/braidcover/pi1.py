@@ -5,9 +5,10 @@ all edges on levels 0 and n, plus the sheet-1 edge on every middle level --
 leaves exactly (d-1)(n-1) non-tree edges e[i,j] (1 <= i <= n-1, 2 <= j <= d),
 matching the rank of the surface group.  The tree is chosen so that the
 standard non-tree generator of e[i,j] is exactly the inverse of the prefix
-loop y[i,j] = x[i,1]*...*x[i,j-1]; rewriting a loop is then a single pass
-with O(d) work per step, and converting a word back is concatenation of the
-defining x-loops.
+loop y[i,j] = x[i,1]*...*x[i,j-1].  Both translations are then letter
+substitutions through `words._substitute`: a loop maps edge by edge to
+words (tree edges to the empty word), and a word maps letter by letter to
+its defining x-loops, freely reduced in one pass.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import lru_cache
 
 from . import groupoid, words
 from .groupoid import Edge, EdgePath, GroupoidFunctor, Vertex, left_boundary
-from .words import FreeAutomorphism, Word
+from .words import FreeAutomorphism, Word, _substitute
 
 
 @dataclass(frozen=True)
@@ -83,52 +84,42 @@ def loop_y(d: int, n: int, i: int, j: int) -> EdgePath:
     return groupoid.path(d, n, steps, start=p.start)
 
 
-def loop_to_word(p: EdgePath) -> Word:
-    """Rewrite a basepoint loop as a reduced word in the x[i,j] basis.
+@lru_cache(maxsize=None)
+def _edge_words(d: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Word codes of every forward edge step, indexed by edge code - 1.
 
-    Tree steps contribute nothing; a forward non-tree step over e[i,j]
-    contributes the inverse prefix x[i,j-1]^-1*...*x[i,1]^-1 and a backward
-    one the prefix itself.
+    Tree edges contribute nothing; a non-tree e[i,j] contributes the
+    inverse prefix x[i,j-1]^-1*...*x[i,1]^-1.
     """
+    words.check_params(d, n)
+    table = []
+    for code in range(1, (n + 1) * d + 1):
+        level, below = divmod(code - 1, d)  # below = sheet - 1
+        if 0 < level < n:
+            table.append(tuple(-((level - 1) * (d - 1) + t) for t in range(below, 0, -1)))
+        else:
+            table.append(())
+    return tuple(table)
+
+
+def loop_to_word(p: EdgePath) -> Word:
+    """Rewrite a basepoint loop as a reduced word in the x[i,j] basis."""
     d, n = p.d, p.n
     base = basepoint(d, n)
     if p.start != base or p.end != base:
         raise ValueError(f"loop must start and end at {base}, got {p.start} -> {p.end}")
-    span = d - 1
-    out: list[int] = []
-    for s in p.steps:
-        level, sheet = divmod(abs(s) - 1, d)
-        sheet += 1
-        if level == 0 or level == n or sheet == 1:
-            continue
-        gen_base = (level - 1) * span
-        contribution = (
-            (-(gen_base + t) for t in range(sheet - 1, 0, -1))
-            if s > 0
-            else (gen_base + t for t in range(1, sheet))
-        )
-        for c in contribution:
-            if out and out[-1] == -c:
-                out.pop()
-            else:
-                out.append(c)
-    return Word(d, n, tuple(out))
+    return Word(d, n, _substitute(_edge_words(d, n), p.steps))
+
+
+@lru_cache(maxsize=None)
+def _x_loops(d: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Step codes of the loops x[i,j], indexed by basis code - 1."""
+    return tuple(loop_x(d, n, i, j).steps for (i, j) in words.symbols(d, n))
 
 
 def word_to_loop(w: Word) -> EdgePath:
     """Concatenation of the defining x-loops, one per letter, reduced."""
-    d, n = w.d, w.n
-    span = d - 1
-    steps: list[tuple[int, int, int]] = []
-    for c in w.codes:
-        i, j = (abs(c) - 1) // span + 1, (abs(c) - 1) % span + 1
-        x_steps = [(level, 1, 1) for level in range(i)]
-        x_steps += [(i, j, 1), (i, j + 1, -1)]
-        x_steps += [(level, 1, -1) for level in reversed(range(i))]
-        if c < 0:
-            x_steps = [(a, b, -direction) for (a, b, direction) in reversed(x_steps)]
-        steps.extend(x_steps)
-    return groupoid.path(d, n, steps, start=basepoint(d, n))
+    return EdgePath(w.d, w.n, basepoint(w.d, w.n), _substitute(_x_loops(w.d, w.n), w.codes))
 
 
 def functor_to_automorphism(F: GroupoidFunctor) -> FreeAutomorphism:

@@ -15,7 +15,7 @@ and every operation is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple
 
 from .errors import BudgetExceededError, ParameterMismatchError
@@ -96,19 +96,47 @@ def _same_params(a, b) -> None:
         )
 
 
-def _reduce_codes(codes: Iterable[int]) -> tuple[int, ...]:
-    """Stack-based free reduction of a code sequence."""
-    out: list[int] = []
-    budget = LETTER_BUDGET
+def _reduce_onto(out: list[int], codes: Iterable[int]) -> tuple[int, ...]:
+    """Append codes to the freely reduced list `out`, cancelling at the junction.
+
+    One of the two reduction kernels of the package (with `_substitute`);
+    group words and groupoid paths alike are reduced here.
+    """
     for c in codes:
         if out and out[-1] == -c:
             out.pop()
         else:
             out.append(c)
-            if len(out) > budget:
-                raise BudgetExceededError(
-                    f"word exceeds the letter budget of {budget}"
-                )
+    if len(out) > LETTER_BUDGET:
+        raise BudgetExceededError(f"result exceeds the letter budget of {LETTER_BUDGET}")
+    return tuple(out)
+
+
+def _substitute(table, codes: Iterable[int]) -> tuple[int, ...]:
+    """Freely reduced image of a code sequence under a letter substitution.
+
+    `table[c - 1]` holds the image codes of code c > 0; a negative code
+    contributes the inverse of its image.  The budget is checked per letter,
+    so a blow-up stops early.
+    """
+    out: list[int] = []
+    budget = LETTER_BUDGET
+    for c in codes:
+        img = table[abs(c) - 1]
+        if c > 0:
+            for t in img:
+                if out and out[-1] == -t:
+                    out.pop()
+                else:
+                    out.append(t)
+        else:
+            for t in reversed(img):
+                if out and out[-1] == t:
+                    out.pop()
+                else:
+                    out.append(-t)
+        if len(out) > budget:
+            raise BudgetExceededError(f"result exceeds the letter budget of {budget}")
     return tuple(out)
 
 
@@ -143,7 +171,7 @@ def _encode(d: int, n: int, letters: Iterable) -> list[int]:
 def reduce(d: int, n: int, letters: Iterable) -> Word:
     """Freely reduced word spelled by a letter sequence; idempotent."""
     check_params(d, n)
-    return Word(d, n, _reduce_codes(_encode(d, n, letters)))
+    return Word(d, n, _reduce_onto([], _encode(d, n, letters)))
 
 
 def word(d: int, n: int, letters: Iterable) -> Word:
@@ -159,21 +187,13 @@ def empty_word(d: int, n: int) -> Word:
 def generator(d: int, n: int, i: int, j: int, sign: int = 1) -> Word:
     """The word x[i,j]^sign (x[i,d] expands into the basis)."""
     check_params(d, n)
-    return Word(d, n, _reduce_codes(_expand_symbol(d, n, i, j, sign)))
+    return Word(d, n, _reduce_onto([], _expand_symbol(d, n, i, j, sign)))
 
 
 def multiply(a: Word, b: Word) -> Word:
     """Reduced concatenation; the empty word is the identity."""
     _same_params(a, b)
-    out = list(a.codes)
-    for c in b.codes:
-        if out and out[-1] == -c:
-            out.pop()
-        else:
-            out.append(c)
-    if len(out) > LETTER_BUDGET:
-        raise BudgetExceededError(f"word exceeds the letter budget of {LETTER_BUDGET}")
-    return Word(a.d, a.n, tuple(out))
+    return Word(a.d, a.n, _reduce_onto(list(a.codes), b.codes))
 
 
 def invert(w: Word) -> Word:
@@ -212,6 +232,11 @@ class FreeAutomorphism:
             raise ValueError(f"x[{i},{j}] is not a basis generator for d={self.d}, n={self.n}")
         return self.images[(i - 1) * (self.d - 1) + (j - 1)]
 
+    @cached_property
+    def _table(self) -> tuple[tuple[int, ...], ...]:
+        """Image codes indexed by basis code - 1, the `_substitute` table."""
+        return tuple(img.codes for img in self.images)
+
 
 @lru_cache(maxsize=None)
 def identity_automorphism(d: int, n: int) -> FreeAutomorphism:
@@ -224,32 +249,16 @@ def identity_automorphism(d: int, n: int) -> FreeAutomorphism:
 def apply(f: FreeAutomorphism, w: Word) -> Word:
     """Apply f letter by letter; homomorphic by construction."""
     _same_params(f, w)
-    images = f.images
-    out: list[int] = []
-    budget = LETTER_BUDGET
-    for c in w.codes:
-        img = images[abs(c) - 1].codes
-        if c > 0:
-            for t in img:
-                if out and out[-1] == -t:
-                    out.pop()
-                else:
-                    out.append(t)
-        else:
-            for t in reversed(img):
-                if out and out[-1] == t:
-                    out.pop()
-                else:
-                    out.append(-t)
-        if len(out) > budget:
-            raise BudgetExceededError(f"word exceeds the letter budget of {budget}")
-    return Word(f.d, f.n, tuple(out))
+    return Word(f.d, f.n, _substitute(f._table, w.codes))
 
 
 def compose(f: FreeAutomorphism, g: FreeAutomorphism) -> FreeAutomorphism:
     """Composite that applies f first, then g."""
     _same_params(f, g)
-    return FreeAutomorphism(f.d, f.n, tuple(apply(g, img) for img in f.images))
+    table = g._table
+    return FreeAutomorphism(
+        f.d, f.n, tuple(Word(f.d, f.n, _substitute(table, img.codes)) for img in f.images)
+    )
 
 
 def equal(f: FreeAutomorphism, g: FreeAutomorphism) -> bool:

@@ -1,11 +1,13 @@
 """Exit-status contract and byte-deterministic output of the command line."""
 
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 from braidcover import cli, words
+from braidcover.braid import CheckResult, Report, run_suite
 
 
 def run_cli(capsys, *argv):
@@ -87,12 +89,29 @@ def test_verify_all_passes_with_exit_zero(capsys):
     assert lines[-1].endswith("checks passed")
 
 
+def _records(out):
+    # every structured line must split into key=value fields with shlex
+    return [dict(field.split("=", 1) for field in shlex.split(line))
+            for line in out.splitlines()]
+
+
 def test_verify_structured_records(capsys):
     code, out, _ = run_cli(capsys, "verify", "--d", "2", "--n", "3",
                            "--suite", "relations", "--output-mode", "structured")
     assert code == 0
-    for line in out.splitlines():
-        assert line.startswith("check=") and "status=pass" in line
+    records = _records(out)
+    assert [r["check"] for r in records] == [c.name for c in run_suite(2, 3, "relations").checks]
+    assert all(set(r) == {"check", "status"} and r["status"] == "pass" for r in records)
+
+
+def test_structured_failure_detail_round_trips(capsys):
+    detail = 'x[1,1]: x[1,2]^-1 != x[1,2] "quoted" = \\'
+    report = Report((CheckResult("cross_validation i=1 closed/groupoid", False, detail),))
+    cli._print_report(report, "structured")
+    (record,) = _records(capsys.readouterr().out)
+    assert record == {
+        "check": "cross_validation i=1 closed/groupoid", "status": "fail", "detail": detail,
+    }
 
 
 def test_output_is_byte_identical_across_runs(capsys):

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from braidcover import groupoid
-from braidcover.errors import EndpointMismatchError, ParameterMismatchError
+from braidcover import groupoid, words
+from braidcover.errors import BudgetExceededError, EndpointMismatchError, ParameterMismatchError
 from braidcover.groupoid import (
-    BasePath,
     EdgePath,
     GroupoidFunctor,
     apply_functor,
@@ -66,6 +65,19 @@ def test_path_compose_rejects_endpoint_mismatch():
 def test_path_rejects_incompatible_steps():
     with pytest.raises(EndpointMismatchError):
         path(3, 2, [(0, 1, 1), (0, 1, 1)])
+
+
+@pytest.mark.parametrize("direction", [2, 0, -2])
+def test_path_rejects_a_step_direction_other_than_plus_or_minus_one(direction):
+    with pytest.raises(ValueError, match="direction"):
+        path(3, 2, [(0, 1, direction)])
+
+
+def test_path_compose_respects_the_letter_budget(monkeypatch):
+    first, second = p(3, 2, "e[0,1]*e[1,1]"), p(3, 2, "e[1,2]^-1*e[0,2]^-1")
+    monkeypatch.setattr(words, "LETTER_BUDGET", 3)
+    with pytest.raises(BudgetExceededError):
+        path_compose(first, second)
 
 
 def test_unreduced_path_is_rejected():
@@ -293,20 +305,32 @@ def test_inverse_lift_fixes_far_edges():
 
 def test_base_half_twist_reverses_the_middle_edge():
     F = base_half_twist(4, 2)
+    assert F.d == 1  # the base disk is the cover graph at d = 1
     assert F.edge_images[2].steps == (-3,)  # e[2] -> e[2]^-1
     assert F.edge_images[1].steps == (2, 3)  # e[1] -> e[1]*e[2]
     assert F.edge_images[3].steps == (3, 4)  # e[3] -> e[2]*e[3]
-    assert (F.vertex_images[2], F.vertex_images[3]) == (3, 2)
+    assert (F.vertex(interior(2)), F.vertex(interior(3))) == (interior(3), interior(2))
 
 
 def test_project_collapses_sheets():
-    assert project(p(3, 2, "e[1,1]*e[1,2]^-1")) == BasePath(2, 1, ())
-    assert project(p(3, 2, "e[0,2]*e[1,3]")) == BasePath(2, 0, (1, 2))
+    assert project(p(3, 2, "e[1,1]*e[1,2]^-1")) == EdgePath(1, 2, interior(1), ())
+    assert project(p(3, 2, "e[0,2]*e[1,3]")) == EdgePath(1, 2, left_boundary(1), (1, 2))
 
 
 @pytest.mark.parametrize("d,n,i", [(3, 4, 2), (2, 2, 1), (4, 5, 4), (6, 3, 1)])
 def test_projection_intertwines_lift_and_base_twist(d, n, i):
     assert verify_lift(d, n, i)
+
+
+@given(st.tuples(st.integers(2, 5), st.integers(2, 5)), st.integers(0, 2**32 - 1))
+def test_projection_intertwines_on_random_paths(dn, seed):
+    d, n = dn
+    rng = random.Random(seed)
+    i = rng.randint(1, n - 1)
+    start, steps = _random_walk(rng, d, n, rng.randint(0, 24))
+    q = path(d, n, steps, start=start)
+    lifted = apply_functor(lifted_half_twist(d, n, i), q)
+    assert project(lifted) == apply_functor(base_half_twist(n, i), project(q))
 
 
 # -- constructor validation -----------------------------------------------------------

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from braidcover import braid, groupoid, words
+from braidcover.errors import BudgetExceededError
 from braidcover.groupoid import (
     Edge,
     apply_functor,
@@ -139,6 +140,13 @@ def test_empty_loop_rewrites_to_the_empty_word():
 def test_loop_to_word_rejects_open_paths():
     with pytest.raises(ValueError):
         loop_to_word(base_path(3, 3, 1))
+
+
+def test_loop_to_word_respects_the_letter_budget(monkeypatch):
+    loop = word_to_loop(parse_word(3, 2, "*".join(["x[1,2]"] * 5)))
+    monkeypatch.setattr(words, "LETTER_BUDGET", 4)
+    with pytest.raises(BudgetExceededError):
+        loop_to_word(loop)
 
 
 def test_word_to_loop_examples():
