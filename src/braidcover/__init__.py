@@ -1,6 +1,11 @@
 """Braid group actions on free groups from cyclic branched covers of a disk."""
 
-from .errors import BudgetExceededError, EndpointMismatchError, ParameterMismatchError
+from .errors import (
+    BudgetExceededError,
+    EndpointMismatchError,
+    ParameterMismatchError,
+    SelfCheckError,
+)
 from .words import (
     FreeAutomorphism,
     GeneratorSymbol,

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import groupoid, pi1, words
+from .errors import SelfCheckError
 from .words import FreeAutomorphism
 
 
@@ -72,9 +73,11 @@ def format_braid(w: BraidWord) -> str:
     return " ".join(str(s) for s in w.letters)
 
 
-def _check_index(n: int, i: int) -> None:
+def _check_index(d: int, n: int, i: int) -> None:
+    """Generator index in range, and an image table within the letter budget."""
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index i must be in 1..{n - 1}, got i={i}")
+    words.check_table_size(d, n, words.rank(d, n))
 
 
 @lru_cache(maxsize=None)
@@ -86,7 +89,7 @@ def half_twist_action(d: int, n: int, i: int) -> FreeAutomorphism:
     d, when it appears as j+1, expands into the basis automatically.
     """
     words.check_params(d, n)
-    _check_index(n, i)
+    _check_index(d, n, i)
     images: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     for j in range(1, d):
         if i >= 2:
@@ -113,7 +116,7 @@ def conjugate_twist_action(d: int, n: int, i: int) -> FreeAutomorphism:
     """Same action assembled from prefix loops; checked against the
     closed form at construction (a mismatch means a transcription bug)."""
     words.check_params(d, n)
-    _check_index(n, i)
+    _check_index(d, n, i)
 
     def y(row: int, j: int) -> list[tuple[int, int, int]]:
         # prefix loop x[row,1]*...*x[row,j-1]; at j = d+1 the expansion of
@@ -132,7 +135,7 @@ def conjugate_twist_action(d: int, n: int, i: int) -> FreeAutomorphism:
             images[(i + 1, j)] = y_inv(i, j) + [(i + 1, j, 1)] + y(i, j + 1)
     action = _automorphism_from_table(d, n, images)
     if not words.equal(action, half_twist_action(d, n, i)):
-        raise RuntimeError(
+        raise SelfCheckError(
             f"conjugate form disagrees with the closed form for d={d}, n={n}, i={i}"
         )
     return action
@@ -174,7 +177,7 @@ def dehn_twist_product(d: int, n: int, i: int) -> FreeAutomorphism:
     equals half_twist_action(d, n, i).
     """
     words.check_params(d, n)
-    _check_index(n, i)
+    _check_index(d, n, i)
     composite = groupoid.identity_functor(d, n)
     for j in range(d, 1, -1):
         composite = groupoid.compose_functors(composite, groupoid.dehn_twist(d, n, i, j))

@@ -14,7 +14,7 @@ import sys
 from typing import Sequence
 
 from . import braid, groupoid, words
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, SelfCheckError
 from .surface import SurfaceData, format_table
 from .surface import surface as surface_data
 from .surface import table as surface_table
@@ -169,7 +169,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return run(args)
-    except BudgetExceededError as exc:
+    except (BudgetExceededError, SelfCheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

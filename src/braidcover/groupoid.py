@@ -6,16 +6,25 @@ parallel edges e[i,j] (sheets j = 1..d) from level i to level i+1 for each
 i = 0..n.  Sheet indices are cyclic with period d.
 
 Self-functors of the free groupoid on this graph are stored as a vertex
-permutation plus an edge -> path table, with endpoint consistency checked at
-construction.  The base disk is the same graph at d = 1, a single edge per
-level; `project` collapses sheets onto it.  Paths and functors accept any
-d >= 1, while the twist lifts need a genuine cover, d >= 2.
+permutation plus an edge -> path table.  The base disk is the same graph at
+d = 1, a single edge per level; `project` collapses sheets onto it.  Paths
+and functors accept any d >= 1, while the twist lifts need a genuine cover,
+d >= 2.
 
 Internally a directed edge step is a signed integer code: the forward edge
 e[i,j] has code i*d + j, a backward traversal the negated code.  A path is
 thus a free-group word over edge codes that carries its endpoints, and it is
 reduced and mapped by the same kernels as words (`words._reduce_onto`,
 `words._substitute`).  Everything is immutable and pure.
+
+Validation happens at the boundary.  The public constructors `EdgePath(...)`
+and `GroupoidFunctor(...)`, and with them `path`, `edge_path`, `empty_path`,
+`parse_path` and every hand-written twist table, check endpoints, free
+reduction and the fixed boundary.  Values derived from validated ones --
+images, composites, inverses and projections of paths and functors -- are
+valid by construction and are built through the private `_trusted`
+constructors without a second check.  A graph whose edge table would exceed
+`words.LETTER_BUDGET` is rejected before anything is allocated for it.
 """
 
 from __future__ import annotations
@@ -25,8 +34,8 @@ from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple
 
 from . import words as _words
-from .errors import EndpointMismatchError
-from .words import _reduce_onto, _same_params, _substitute
+from .errors import EndpointMismatchError, SelfCheckError
+from .words import _reduce_onto, _same_params, _substitute, check_table_size
 
 
 class Vertex(NamedTuple):
@@ -108,10 +117,25 @@ def _target(d: int, n: int, code: int) -> Vertex:
     return Vertex(level + 1, sheet + 1 if level == n else 0)
 
 
+@lru_cache(maxsize=None)
+def _ends(d: int, n: int) -> tuple[tuple[Vertex, Vertex], ...]:
+    """(source, target) of every edge, indexed by edge code - 1.
+
+    The vertices are the objects of `vertices(d, n)`, shared across entries.
+    """
+    check_table_size(d, n, (n + 1) * d)
+    canonical = {v: v for v in vertices(d, n)}
+    return tuple(
+        (canonical[_source(d, n, code)], canonical[_target(d, n, code)])
+        for code in range(1, (n + 1) * d + 1)
+    )
+
+
 def _step_ends(d: int, n: int, step: int) -> tuple[Vertex, Vertex]:
     if step > 0:
-        return _source(d, n, step), _target(d, n, step)
-    return _target(d, n, -step), _source(d, n, -step)
+        return _ends(d, n)[step - 1]
+    target, source = _ends(d, n)[-step - 1]
+    return source, target
 
 
 @dataclass(frozen=True)
@@ -124,20 +148,42 @@ class EdgePath:
     steps: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_graph(self.d, self.n)
-        _vertex_index(self.d, self.n, self.start)  # validates the vertex
+        d, n = self.d, self.n
+        _check_graph(d, n)
+        _vertex_index(d, n, self.start)  # validates the vertex
+        ends = _ends(d, n)
+        count = len(ends)
         at = self.start
         prev = 0
         for step in self.steps:
             if step == -prev:
                 raise ValueError("path is not freely reduced")
-            begin, end = _step_ends(self.d, self.n, step)
+            if 0 < step <= count:
+                begin, end = ends[step - 1]
+            elif 0 < -step <= count:
+                end, begin = ends[-step - 1]
+            else:
+                raise EndpointMismatchError(f"no edge has code {abs(step)} for d={d}, n={n}")
             if begin != at:
                 raise EndpointMismatchError(
                     f"step over edge code {abs(step)} begins at {begin}, expected {at}"
                 )
             at = end
             prev = step
+
+    @classmethod
+    def _trusted(cls, d: int, n: int, start: Vertex, steps: tuple[int, ...]) -> EdgePath:
+        """Build a path without validation.
+
+        Only for values that are valid by construction because they are
+        derived from validated paths and functors.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "steps", steps)
+        return self
 
     @property
     def end(self) -> Vertex:
@@ -192,11 +238,11 @@ def path_compose(p: EdgePath, q: EdgePath) -> EdgePath:
         raise EndpointMismatchError(
             f"cannot compose: first path ends at {p.end}, second starts at {q.start}"
         )
-    return EdgePath(p.d, p.n, p.start, _reduce_onto(list(p.steps), q.steps))
+    return EdgePath._trusted(p.d, p.n, p.start, _reduce_onto(list(p.steps), q.steps))
 
 
 def path_invert(p: EdgePath) -> EdgePath:
-    return EdgePath(p.d, p.n, p.end, tuple(-s for s in reversed(p.steps)))
+    return EdgePath._trusted(p.d, p.n, p.end, tuple(-s for s in reversed(p.steps)))
 
 
 def edge_path(d: int, n: int, i: int, j: int, direction: int = 1) -> EdgePath:
@@ -225,20 +271,38 @@ class GroupoidFunctor:
             raise ValueError("vertex map must cover every vertex")
         if sorted(self.vertex_images) != sorted(verts):
             raise ValueError("vertex map is not a permutation")
+        image_of = self._vertex_map
         for v in verts:
-            if v.sheet != 0 and self.vertex(v) != v:
+            if v.sheet != 0 and image_of[v] != v:
                 raise ValueError(f"boundary vertex {v} must stay fixed")
-        if len(self.edge_images) != (n + 1) * d:
+        ends = _ends(d, n)
+        if len(self.edge_images) != len(ends):
             raise ValueError("edge map must cover every edge")
-        for code, image in enumerate(self.edge_images, start=1):
+        for code, ((source, target), image) in enumerate(zip(ends, self.edge_images), start=1):
             _same_params(self, image)
-            want_start = self.vertex(_source(d, n, code))
-            want_end = self.vertex(_target(d, n, code))
+            want_start = image_of[source]
+            want_end = image_of[target]
             if image.start != want_start or image.end != want_end:
                 raise EndpointMismatchError(
                     f"image of edge code {code} runs {image.start} -> {image.end}, "
                     f"expected {want_start} -> {want_end}"
                 )
+
+    @classmethod
+    def _trusted(
+        cls, d: int, n: int, vertex_images: tuple[Vertex, ...], edge_images: tuple[EdgePath, ...]
+    ) -> GroupoidFunctor:
+        """Build a functor without validation.
+
+        Only for values that are valid by construction, such as composites
+        of validated functors.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "vertex_images", vertex_images)
+        object.__setattr__(self, "edge_images", edge_images)
+        return self
 
     def vertex(self, v: Vertex) -> Vertex:
         return self.vertex_images[_vertex_index(self.d, self.n, v)]
@@ -252,23 +316,30 @@ class GroupoidFunctor:
         """Image steps indexed by edge code - 1, the `_substitute` table."""
         return tuple(image.steps for image in self.edge_images)
 
+    @cached_property
+    def _vertex_map(self) -> dict[Vertex, Vertex]:
+        """Vertex -> image, for lookups that need no validation of the vertex."""
+        return dict(zip(vertices(self.d, self.n), self.vertex_images))
+
 
 def apply_functor(F: GroupoidFunctor, p: EdgePath) -> EdgePath:
     """Image of a path: expand step by step, then freely reduce."""
     _same_params(F, p)
-    return EdgePath(F.d, F.n, F.vertex(p.start), _substitute(F._table, p.steps))
+    return EdgePath._trusted(F.d, F.n, F.vertex(p.start), _substitute(F._table, p.steps))
 
 
 def compose_functors(F: GroupoidFunctor, G: GroupoidFunctor) -> GroupoidFunctor:
     """Composite that applies F first, then G."""
     _same_params(F, G)
+    d, n = F.d, F.n
     table = G._table
-    return GroupoidFunctor(
-        F.d,
-        F.n,
-        tuple(G.vertex(v) for v in F.vertex_images),
+    image_of = G._vertex_map
+    return GroupoidFunctor._trusted(
+        d,
+        n,
+        tuple(image_of[v] for v in F.vertex_images),
         tuple(
-            EdgePath(F.d, F.n, G.vertex(image.start), _substitute(table, image.steps))
+            EdgePath._trusted(d, n, image_of[image.start], _substitute(table, image.steps))
             for image in F.edge_images
         ),
     )
@@ -277,36 +348,37 @@ def compose_functors(F: GroupoidFunctor, G: GroupoidFunctor) -> GroupoidFunctor:
 @lru_cache(maxsize=None)
 def identity_functor(d: int, n: int) -> GroupoidFunctor:
     _check_graph(d, n)
-    return GroupoidFunctor(
+    return GroupoidFunctor._trusted(
         d,
         n,
         vertices(d, n),
         tuple(
-            EdgePath(d, n, _source(d, n, c), (c,))
-            for c in range(1, (n + 1) * d + 1)
+            EdgePath._trusted(d, n, source, (code,))
+            for code, (source, _) in enumerate(_ends(d, n), start=1)
         ),
     )
 
 
 def _functor(d: int, n: int, swap: tuple[int, int], images: dict[Edge, list[tuple[int, int, int]]]) -> GroupoidFunctor:
-    """Functor that swaps two interior vertices and overrides some edges."""
+    """Functor that swaps two interior vertices and overrides some edges.
+
+    The identity's edge images are shared; the overrides are validated paths
+    and the result goes through the validating constructor.
+    """
     vertex_images = list(vertices(d, n))
     a, b = swap
     vertex_images[a - 1], vertex_images[b - 1] = vertex_images[b - 1], vertex_images[a - 1]
-    edge_images = []
-    for code in range(1, (n + 1) * d + 1):
-        level, sheet = divmod(code - 1, d)
-        override = images.get(Edge(level, sheet + 1))
-        if override is None:
-            edge_images.append(EdgePath(d, n, _source(d, n, code), (code,)))
-        else:
-            edge_images.append(path(d, n, override))
+    edge_images = list(identity_functor(d, n).edge_images)
+    for (level, sheet), steps in images.items():
+        edge_images[_edge_code(d, n, level, sheet) - 1] = path(d, n, steps)
     return GroupoidFunctor(d, n, tuple(vertex_images), tuple(edge_images))
 
 
-def _check_twist_index(n: int, i: int) -> None:
+def _check_twist(d: int, n: int, i: int) -> None:
+    """Twist index in range, and an edge table within the letter budget."""
     if not 1 <= i <= n - 1:
         raise ValueError(f"twist index i must be in 1..{n - 1}, got i={i}")
+    check_table_size(d, n, (n + 1) * d)
 
 
 @lru_cache(maxsize=None)
@@ -318,7 +390,7 @@ def lifted_half_twist(d: int, n: int, i: int) -> GroupoidFunctor:
     e[i+1,j] -> e[i,j]*e[i+1,j]; everything else is fixed.
     """
     _words.check_params(d, n)
-    _check_twist_index(n, i)
+    _check_twist(d, n, i)
     images: dict[Edge, list[tuple[int, int, int]]] = {}
     for j in range(1, d + 1):
         images[Edge(i - 1, j)] = [(i - 1, j, 1), (i, _wrap(d, j + 1), 1)]
@@ -337,7 +409,7 @@ def lifted_half_twist_inverse(d: int, n: int, i: int) -> GroupoidFunctor:
     with the lift in either order gives the identity functor.
     """
     _words.check_params(d, n)
-    _check_twist_index(n, i)
+    _check_twist(d, n, i)
     images: dict[Edge, list[tuple[int, int, int]]] = {}
     for j in range(1, d + 1):
         images[Edge(i - 1, j)] = [(i - 1, j, 1), (i, j, 1)]
@@ -347,7 +419,7 @@ def lifted_half_twist_inverse(d: int, n: int, i: int) -> GroupoidFunctor:
     forward = lifted_half_twist(d, n, i)
     ident = identity_functor(d, n)
     if compose_functors(forward, inverse) != ident or compose_functors(inverse, forward) != ident:
-        raise RuntimeError(
+        raise SelfCheckError(
             f"inverse half-twist table fails the identity check for d={d}, n={n}, i={i}"
         )
     return inverse
@@ -362,7 +434,7 @@ def dehn_twist(d: int, n: int, i: int, j: int) -> GroupoidFunctor:
     check would reject anything else.
     """
     _words.check_params(d, n)
-    _check_twist_index(n, i)
+    _check_twist(d, n, i)
     jj = _wrap(d, j)
     j1 = _wrap(d, j + 1)
     images: dict[Edge, list[tuple[int, int, int]]] = {}
@@ -397,7 +469,7 @@ def base_half_twist(n: int, i: int) -> GroupoidFunctor:
     the lift/projection check compares two independent tables.
     """
     _check_graph(1, n)
-    _check_twist_index(n, i)
+    _check_twist(1, n, i)
     return _functor(1, n, (i, i + 1), {
         Edge(i - 1, 1): [(i - 1, 1, 1), (i, 1, 1)],
         Edge(i, 1): [(i, 1, -1)],
@@ -414,15 +486,30 @@ def _collapse_table(d: int, n: int) -> tuple[tuple[int, ...], ...]:
 def project(p: EdgePath) -> EdgePath:
     """Collapse sheets: e[i,j] -> e[i], boundary columns merge to 0 and n+1."""
     start = Vertex(p.start.level, min(p.start.sheet, 1))
-    return EdgePath(1, p.n, start, _substitute(_collapse_table(p.d, p.n), p.steps))
+    return EdgePath._trusted(1, p.n, start, _substitute(_collapse_table(p.d, p.n), p.steps))
+
+
+@lru_cache(maxsize=None)
+def _deck_table(d: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Substitution e[i,j] -> e[i,j+1], the deck transformation on edge codes."""
+    return tuple((level * d + _wrap(d, j + 1),) for level in range(n + 1) for j in range(1, d + 1))
 
 
 def verify_lift(d: int, n: int, i: int) -> bool:
-    """Whether projecting the lifted half twist recovers the base half twist
-    on every generating edge."""
-    lift = lifted_half_twist(d, n, i)
-    base = base_half_twist(n, i)
-    collapse = _collapse_table(d, n)
+    """Whether the lifted half twist is a lift of the base half twist."""
+    return _is_lift(lifted_half_twist(d, n, i), base_half_twist(n, i))
+
+
+def _is_lift(lift: GroupoidFunctor, base: GroupoidFunctor) -> bool:
+    """Whether `lift` projects onto `base` and commutes with the deck shift.
+
+    The base graph is a line, so a reduced base path is fixed by its
+    endpoints and the projection alone cannot see a wrong sheet; a lift of
+    a mapping class of the disk must also commute with the deck
+    transformation that moves every sheet up by one.
+    """
+    d = lift.d
+    collapse = _collapse_table(d, lift.n)
     for code, image in enumerate(lift.edge_images, start=1):
         # the base image is a validated path, so equal start level and equal
         # collapsed steps mean project(image) equals it
@@ -431,7 +518,12 @@ def verify_lift(d: int, n: int, i: int) -> bool:
             return False
         if _substitute(collapse, image.steps) != want.steps:
             return False
-    return True
+    deck = _deck_table(d, lift.n)
+    table = lift._table
+    return all(
+        table[shifted - 1] == _substitute(deck, steps)
+        for ((shifted,), steps) in zip(deck, table)
+    )
 
 
 # -- text grammar ------------------------------------------------------------

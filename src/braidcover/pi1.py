@@ -119,7 +119,10 @@ def _x_loops(d: int, n: int) -> tuple[tuple[int, ...], ...]:
 
 def word_to_loop(w: Word) -> EdgePath:
     """Concatenation of the defining x-loops, one per letter, reduced."""
-    return EdgePath(w.d, w.n, basepoint(w.d, w.n), _substitute(_x_loops(w.d, w.n), w.codes))
+    # a product of validated basepoint loops is a valid basepoint loop
+    return EdgePath._trusted(
+        w.d, w.n, basepoint(w.d, w.n), _substitute(_x_loops(w.d, w.n), w.codes)
+    )
 
 
 def functor_to_automorphism(F: GroupoidFunctor) -> FreeAutomorphism:

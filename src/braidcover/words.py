@@ -47,6 +47,16 @@ def check_params(d: int, n: int) -> None:
         raise ValueError(f"parameter n must be >= 2, got n={n}")
 
 
+def check_table_size(d: int, n: int, size: int) -> None:
+    """Refuse a generator or edge table of `size` images past the letter
+    budget, before anything is allocated for it."""
+    if size > LETTER_BUDGET:
+        raise BudgetExceededError(
+            f"a table of {size} images for d={d}, n={n} exceeds the letter budget "
+            f"of {LETTER_BUDGET}"
+        )
+
+
 @lru_cache(maxsize=None)
 def symbols(d: int, n: int) -> tuple[GeneratorSymbol, ...]:
     """All basis symbols, ordered by (i, j)."""
@@ -241,6 +251,7 @@ class FreeAutomorphism:
 @lru_cache(maxsize=None)
 def identity_automorphism(d: int, n: int) -> FreeAutomorphism:
     check_params(d, n)
+    check_table_size(d, n, rank(d, n))
     return FreeAutomorphism(
         d, n, tuple(Word(d, n, (c,)) for c in range(1, rank(d, n) + 1))
     )

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from braidcover import cli, words
+from braidcover import braid, cli, groupoid, words
 from braidcover.braid import CheckResult, Report, run_suite
 
 
@@ -151,6 +151,63 @@ def test_budget_exhaustion_is_a_runtime_failure(capsys, monkeypatch):
                            "--word", "1 2 3 4 1 2 3 4")
     assert code == 1
     assert "budget" in err
+
+
+def test_word_growth_past_the_budget_exits_one(capsys, monkeypatch):
+    # every table at d = n = 3 holds at most (n+1)d = 12 images, so only the
+    # growing words can exceed a budget of 12
+    monkeypatch.setattr(words, "LETTER_BUDGET", 12)
+    code, out, err = run_cli(capsys, "eval", "--d", "3", "--n", "3", "--word", "1 -2 " * 10)
+    assert (code, out) == (1, "")
+    assert "result exceeds the letter budget of 12" in err
+
+
+def test_oversized_tables_exit_one_before_allocation(capsys, monkeypatch):
+    # at d = 7, n = 9 the edge table holds (n+1)d = 70 images and the
+    # generator table (d-1)(n-1) = 48; no other test builds either
+    monkeypatch.setattr(words, "LETTER_BUDGET", 47)
+    for argv in (
+        ("lift", "--i", "1"),
+        ("dehn", "--i", "1", "--j", "2"),
+        ("aut", "--i", "1"),
+        ("eval", "--word", "1 -1"),
+        ("verify",),
+    ):
+        code, out, err = run_cli(capsys, argv[0], "--d", "7", "--n", "9", *argv[1:])
+        assert (code, out) == (1, ""), argv
+        assert "budget" in err and "d=7, n=9" in err, argv
+    monkeypatch.setattr(words, "LETTER_BUDGET", 48)
+    assert run_cli(capsys, "aut", "--d", "7", "--n", "9", "--i", "1")[0] == 0
+    assert run_cli(capsys, "lift", "--d", "7", "--n", "9", "--i", "1")[0] == 1
+    monkeypatch.setattr(words, "LETTER_BUDGET", 70)
+    assert run_cli(capsys, "lift", "--d", "7", "--n", "9", "--i", "1")[0] == 0
+
+
+def test_failed_conjugate_self_check_exits_one(capsys, monkeypatch):
+    braid.conjugate_twist_action.cache_clear()
+    monkeypatch.setattr(words, "equal", lambda f, g: False)
+    try:
+        code, out, err = run_cli(capsys, "verify", "--d", "3", "--n", "3", "--suite", "cross")
+    finally:
+        braid.conjugate_twist_action.cache_clear()
+    assert code == 1
+    assert err.startswith("error: conjugate form disagrees")
+    assert "Traceback" not in err
+
+
+def test_failed_inverse_lift_self_check_exits_one(capsys, monkeypatch):
+    caches = (braid.generator_action, groupoid.lifted_half_twist_inverse)
+    for cached in caches:
+        cached.cache_clear()
+    monkeypatch.setattr(groupoid, "compose_functors", lambda F, G: F)
+    try:
+        code, out, err = run_cli(capsys, "eval", "--d", "3", "--n", "3", "--word", "-1")
+    finally:
+        for cached in caches:
+            cached.cache_clear()
+    assert code == 1
+    assert err.startswith("error: inverse half-twist table fails")
+    assert "Traceback" not in err
 
 
 def test_console_entry_point_runs():

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from braidcover import groupoid, words
+from braidcover import groupoid, pi1, words
 from braidcover.errors import BudgetExceededError, EndpointMismatchError, ParameterMismatchError
 from braidcover.groupoid import (
+    Edge,
     EdgePath,
     GroupoidFunctor,
     apply_functor,
@@ -85,10 +86,9 @@ def test_unreduced_path_is_rejected():
         EdgePath(3, 2, left_boundary(1), (1, -1))
 
 
-def _random_walk(rng, d, n, length):
+def _random_walk(rng, d, n, length, start=None):
     # compatible raw steps: wander the graph, allowing immediate backtracks
-    verts = vertices(d, n)
-    at = rng.choice(verts)
+    at = rng.choice(vertices(d, n)) if start is None else start
     start = at
     steps = []
     for _ in range(length):
@@ -361,6 +361,131 @@ def test_endpoint_consistency_of_all_builtin_functors():
             lifted_half_twist_inverse(d, n, i)
             for j in range(1, d + 1):
                 dehn_twist(d, n, i, j)
+
+
+@pytest.mark.parametrize(
+    "start,steps",
+    [
+        # e[2,3] ends at vN1[3]; code 0 must not read as the last edge reversed
+        (interior(2), (9, 0)),
+        (left_boundary(1), (0,)),
+        (left_boundary(1), (10,)),
+        (left_boundary(1), (-10,)),
+        (left_boundary(1), (1, 100)),
+    ],
+)
+def test_path_constructor_rejects_codes_outside_the_edge_table(start, steps):
+    with pytest.raises(ValueError):
+        EdgePath(3, 2, start, steps)
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {Edge(2, 1): [(1, 1, 1)]},  # wrong level: e[1,1] runs v[1] -> v[2]
+        {Edge(0, 1): [(0, 2, 1)]},  # wrong sheet: e[0,2] starts at v0[2]
+    ],
+)
+def test_hand_written_tables_are_validated(override):
+    with pytest.raises(EndpointMismatchError):
+        groupoid._functor(3, 4, (2, 3), override)
+
+
+def _twist_product(rng, d, n, count):
+    """A random product of lifted, inverse-lifted and Dehn twists, and every
+    partial product on the way."""
+    composite = identity_functor(d, n)
+    partials = [composite]
+    for _ in range(count):
+        i = rng.randint(1, n - 1)
+        factor = rng.choice([
+            lifted_half_twist(d, n, i),
+            lifted_half_twist_inverse(d, n, i),
+            dehn_twist(d, n, i, rng.randint(1, d)),
+        ])
+        composite = compose_functors(composite, factor)
+        partials.append(composite)
+    return partials
+
+
+def _assert_valid_path(q):
+    assert EdgePath(q.d, q.n, q.start, q.steps) == q
+
+
+@given(st.tuples(st.integers(2, 4), st.integers(2, 5)), st.integers(0, 2**32 - 1))
+def test_derived_paths_and_functors_pass_the_public_constructors(dn, seed):
+    # paths and functors derived from validated values skip validation; the
+    # public constructors must accept every one of them unchanged
+    d, n = dn
+    rng = random.Random(seed)
+    partials = _twist_product(rng, d, n, rng.randint(0, 4))
+    for F in partials:
+        assert GroupoidFunctor(F.d, F.n, F.vertex_images, F.edge_images) == F
+        for image in F.edge_images:
+            _assert_valid_path(image)
+    F = partials[-1]
+    start, steps = _random_walk(rng, d, n, rng.randint(0, 16))
+    q = path(d, n, steps, start=start)
+    _, more = _random_walk(rng, d, n, rng.randint(0, 16), start=q.end)
+    r = path(d, n, more, start=q.end)
+    for derived in (
+        apply_functor(F, q),
+        path_compose(q, r),
+        path_compose(q, path_invert(q)),
+        path_invert(q),
+        project(q),
+        project(apply_functor(F, q)),
+    ):
+        _assert_valid_path(derived)
+    letters = [(rng.randint(1, n - 1), rng.randint(1, d), rng.choice((1, -1)))
+               for _ in range(rng.randint(0, 12))]
+    loop = pi1.word_to_loop(words.word(d, n, letters))
+    _assert_valid_path(loop)
+    _assert_valid_path(apply_functor(F, loop))
+
+
+def test_lift_check_sees_a_wrong_sheet():
+    # e[2,1] -> e[2,1]^-1 instead of e[2,2]^-1: endpoint-valid, and its
+    # projection agrees with the true lift's on every edge
+    d, n, i = 3, 4, 2
+    lift = lifted_half_twist(d, n, i)
+    code = groupoid._edge_code(d, n, 2, 1)
+    images = list(lift.edge_images)
+    assert images[code - 1] == p(d, n, "e[2,2]^-1")
+    images[code - 1] = p(d, n, "e[2,1]^-1")
+    mutant = GroupoidFunctor(d, n, lift.vertex_images, tuple(images))
+    assert [project(a) for a in mutant.edge_images] == [project(a) for a in lift.edge_images]
+    base = base_half_twist(n, i)
+    assert groupoid._is_lift(lift, base)
+    assert not groupoid._is_lift(mutant, base)
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_every_desk_lift_and_inverse_lift_is_a_lift(d):
+    # the base half twist is an involution of the base groupoid, so the
+    # inverse lift covers it too
+    for n in range(2, 8):
+        for i in range(1, n):
+            base = base_half_twist(n, i)
+            assert groupoid._is_lift(lifted_half_twist(d, n, i), base)
+            assert groupoid._is_lift(lifted_half_twist_inverse(d, n, i), base)
+
+
+def test_oversized_graphs_are_refused_before_allocation(monkeypatch):
+    # d = 7, n = 10 has (n+1)d = 77 edges; no other test uses it, so no
+    # table for it is cached yet
+    monkeypatch.setattr(words, "LETTER_BUDGET", 76)
+    for build in (
+        lambda: identity_functor(7, 10),
+        lambda: lifted_half_twist(7, 10, 1),
+        lambda: lifted_half_twist_inverse(7, 10, 1),
+        lambda: dehn_twist(7, 10, 1, 2),
+        lambda: parse_path(7, 10, "e[0,1]"),
+    ):
+        with pytest.raises(BudgetExceededError, match=r"d=7, n=10"):
+            build()
+    monkeypatch.setattr(words, "LETTER_BUDGET", 77)
+    assert len(identity_functor(7, 10).edge_images) == 77
 
 
 # -- grammar ----------------------------------------------------------------------------
