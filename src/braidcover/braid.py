@@ -23,7 +23,7 @@ twists along x[i,2], ..., x[i,d] reproduces the lifted half twist.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 
 from . import groupoid, pi1, words
 from .errors import SelfCheckError
@@ -73,13 +73,6 @@ def format_braid(w: BraidWord) -> str:
     return " ".join(str(s) for s in w.letters)
 
 
-def _check_index(d: int, n: int, i: int) -> None:
-    """Generator index in range, and an image table within the letter budget."""
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"generator index i must be in 1..{n - 1}, got i={i}")
-    words.check_table_size(d, n, words.rank(d, n))
-
-
 @lru_cache(maxsize=None)
 def half_twist_action(d: int, n: int, i: int) -> FreeAutomorphism:
     """Closed-form action of braid generator i on the x[i,j] basis.
@@ -89,7 +82,7 @@ def half_twist_action(d: int, n: int, i: int) -> FreeAutomorphism:
     d, when it appears as j+1, expands into the basis automatically.
     """
     words.check_params(d, n)
-    _check_index(d, n, i)
+    words.check_index(d, n, i, words.rank(d, n))
     images: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     for j in range(1, d):
         if i >= 2:
@@ -116,7 +109,7 @@ def conjugate_twist_action(d: int, n: int, i: int) -> FreeAutomorphism:
     """Same action assembled from prefix loops; checked against the
     closed form at construction (a mismatch means a transcription bug)."""
     words.check_params(d, n)
-    _check_index(d, n, i)
+    words.check_index(d, n, i, words.rank(d, n))
 
     def y(row: int, j: int) -> list[tuple[int, int, int]]:
         # prefix loop x[row,1]*...*x[row,j-1]; at j = d+1 the expansion of
@@ -177,15 +170,14 @@ def dehn_twist_product(d: int, n: int, i: int) -> FreeAutomorphism:
     equals half_twist_action(d, n, i).
     """
     words.check_params(d, n)
-    _check_index(d, n, i)
-    composite = groupoid.identity_functor(d, n)
-    for j in range(d, 1, -1):
-        composite = groupoid.compose_functors(composite, groupoid.dehn_twist(d, n, i, j))
-    return pi1.functor_to_automorphism(composite)
+    words.check_index(d, n, i, words.rank(d, n))
+    twists = (groupoid.dehn_twist(d, n, i, j) for j in range(d, 1, -1))
+    return pi1.functor_to_automorphism(reduce(groupoid.compose_functors, twists))
 
 
 def braid_matrix(w: BraidWord) -> tuple[tuple[int, ...], ...]:
     """Abelianized action of a braid word; multiplicative, determinant +-1."""
+    words.check_table_size(w.d, w.n, words.rank(w.d, w.n) ** 2)
     return words.abelianize(evaluate(w))
 
 
@@ -210,78 +202,59 @@ class Report:
         return len(self.checks)
 
 
-def _automorphism_diff(f: FreeAutomorphism, g: FreeAutomorphism) -> str:
-    for sym, a, b in zip(words.symbols(f.d, f.n), f.images, g.images):
-        if a != b:
-            return (
-                f"x[{sym.i},{sym.j}]: {words.format_word(a)} != {words.format_word(b)}"
-            )
-    return ""
+def _compare_tables(name: str, rows, other_rows, identity_rows, spell) -> CheckResult:
+    """Pass, or fail naming the first row where two image tables differ.
 
-
-def _functor_diff(F: groupoid.GroupoidFunctor, G: groupoid.GroupoidFunctor) -> str:
-    if F.vertex_images != G.vertex_images:
-        return "vertex maps differ"
-    for edge, a, b in zip(groupoid.edges(F.d, F.n), F.edge_images, G.edge_images):
+    A row is named by the identity's image at its index, `identity_rows()[k]`,
+    which is only built when the check fails.
+    """
+    for k, (a, b) in enumerate(zip(rows, other_rows)):
         if a != b:
-            return (
-                f"e[{edge.level},{edge.sheet}]: "
-                f"{groupoid.format_path(a)} != {groupoid.format_path(b)}"
-            )
-    return ""
+            detail = f"{spell(identity_rows()[k])}: {spell(a)} != {spell(b)}"
+            return CheckResult(name, False, detail)
+    return CheckResult(name, True)
 
 
 def _compare_functors(name: str, F, G) -> CheckResult:
-    diff = _functor_diff(F, G)
-    return CheckResult(name, diff == "", diff)
+    if F.vertex_images != G.vertex_images:
+        return CheckResult(name, False, "vertex maps differ")
+    return _compare_tables(
+        name, F.edge_images, G.edge_images,
+        lambda: groupoid.identity_functor(F.d, F.n).edge_images, groupoid.format_path,
+    )
 
 
 def _compare_automorphisms(name: str, f, g) -> CheckResult:
-    diff = _automorphism_diff(f, g)
-    return CheckResult(name, diff == "", diff)
+    return _compare_tables(
+        name, f.images, g.images,
+        lambda: words.identity_automorphism(f.d, f.n).images, words.format_word,
+    )
+
+
+def _relations(n: int):
+    """(name, lhs, rhs) braid-letter tuples of the adjacent braid relations,
+    then the far commutations."""
+    for i in range(1, n - 1):
+        yield f"braid_relation i={i}", (i, i + 1, i), (i + 1, i, i + 1)
+    for i in range(1, n - 1):
+        for k in range(i + 2, n):
+            yield f"far_commutation i={i} k={k}", (i, k), (k, i)
 
 
 def check_braid_relations(d: int, n: int) -> Report:
     """Adjacent braid relations and far commutations, at both the functor
-    and the automorphism level."""
+    and the automorphism level; each side is a left fold over its letters."""
     words.check_params(d, n)
-    lift = lambda i: groupoid.lifted_half_twist(d, n, i)
-    aut = lambda i: half_twist_action(d, n, i)
-    compose3 = lambda a, b, c: groupoid.compose_functors(groupoid.compose_functors(a, b), c)
-    compose3w = lambda a, b, c: words.compose(words.compose(a, b), c)
-    checks: list[CheckResult] = []
-    for i in range(1, n - 1):
-        checks.append(
-            _compare_functors(
-                f"braid_relation i={i} functor",
-                compose3(lift(i), lift(i + 1), lift(i)),
-                compose3(lift(i + 1), lift(i), lift(i + 1)),
-            )
-        )
-        checks.append(
-            _compare_automorphisms(
-                f"braid_relation i={i} automorphism",
-                compose3w(aut(i), aut(i + 1), aut(i)),
-                compose3w(aut(i + 1), aut(i), aut(i + 1)),
-            )
-        )
-    for i in range(1, n - 1):
-        for k in range(i + 2, n):
-            checks.append(
-                _compare_functors(
-                    f"far_commutation i={i} k={k} functor",
-                    groupoid.compose_functors(lift(i), lift(k)),
-                    groupoid.compose_functors(lift(k), lift(i)),
-                )
-            )
-            checks.append(
-                _compare_automorphisms(
-                    f"far_commutation i={i} k={k} automorphism",
-                    words.compose(aut(i), aut(k)),
-                    words.compose(aut(k), aut(i)),
-                )
-            )
-    return Report(tuple(checks))
+    levels = (
+        ("functor", groupoid.compose_functors, partial(groupoid.lifted_half_twist, d, n),
+         _compare_functors),
+        ("automorphism", words.compose, partial(half_twist_action, d, n), _compare_automorphisms),
+    )
+    return Report(tuple(
+        compare(f"{name} {level}", reduce(compose, map(act, lhs)), reduce(compose, map(act, rhs)))
+        for name, lhs, rhs in _relations(n)
+        for level, compose, act, compare in levels
+    ))
 
 
 def check_dehn_factorization(d: int, n: int) -> Report:
@@ -325,22 +298,22 @@ def check_cross_validation(d: int, n: int) -> Report:
     return Report(tuple(checks))
 
 
-SUITES = ("relations", "dehn", "lift", "cross")
+# name -> checker, in the order `run_suite(d, n, "all")` runs them
+SUITES = {
+    "relations": check_braid_relations,
+    "dehn": check_dehn_factorization,
+    "lift": check_lift_projection,
+    "cross": check_cross_validation,
+}
 
 
 def run_suite(d: int, n: int, suite: str = "all") -> Report:
     """Run one named verification suite, or all of them in order."""
-    runners = {
-        "relations": check_braid_relations,
-        "dehn": check_dehn_factorization,
-        "lift": check_lift_projection,
-        "cross": check_cross_validation,
-    }
-    if suite == "all":
-        checks: list[CheckResult] = []
-        for name in SUITES:
-            checks.extend(runners[name](d, n).checks)
-        return Report(tuple(checks))
-    if suite not in runners:
-        raise ValueError(f"unknown suite {suite!r}; pick one of {('all',) + SUITES}")
-    return runners[suite](d, n)
+    if suite != "all" and suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; pick one of {('all', *SUITES)}")
+    names = tuple(SUITES) if suite == "all" else (suite,)
+    # each checker is looked up on the module at call time, so a wrapper
+    # installed there (such as a tracer) sees the call
+    return Report(tuple(
+        check for name in names for check in globals()[SUITES[name].__name__](d, n).checks
+    ))

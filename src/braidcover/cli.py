@@ -39,24 +39,24 @@ def _print_tables(rows, mode: str) -> None:
         print(format_table(rows))
 
 
-def _print_functor(F: groupoid.GroupoidFunctor, mode: str) -> None:
-    for edge, image in zip(groupoid.edges(F.d, F.n), F.edge_images):
-        name = f"e[{edge.level},{edge.sheet}]"
-        text = groupoid.format_path(image)
+def _print_images(rows, images, spell, key: str, mode: str) -> None:
+    """One line per table row; a row is named by the identity's image there."""
+    for row, image in zip(rows, images):
+        name, text = spell(row), spell(image)
         if mode == "structured":
-            print(f"edge={name} image={text}")
+            print(f"{key}={name} image={text}")
         else:
             print(f"{name} -> {text}")
+
+
+def _print_functor(F: groupoid.GroupoidFunctor, mode: str) -> None:
+    rows = groupoid.identity_functor(F.d, F.n).edge_images
+    _print_images(rows, F.edge_images, groupoid.format_path, "edge", mode)
 
 
 def _print_automorphism(f: words.FreeAutomorphism, mode: str) -> None:
-    for sym, image in zip(words.symbols(f.d, f.n), f.images):
-        name = f"x[{sym.i},{sym.j}]"
-        text = words.format_word(image)
-        if mode == "structured":
-            print(f"generator={name} image={text}")
-        else:
-            print(f"{name} -> {text}")
+    rows = words.identity_automorphism(f.d, f.n).images
+    _print_images(rows, f.images, words.format_word, "generator", mode)
 
 
 def _print_matrix(matrix, mode: str) -> None:
@@ -115,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--word", type=str, required=True,
                              help="braid word as signed indices, e.g. '1 2 -1'")
         if suite:
-            cmd.add_argument("--suite", choices=("relations", "dehn", "lift", "cross", "all"),
+            cmd.add_argument("--suite", choices=(*braid.SUITES, "all"),
                              default="all", help="which verification suite to run")
         cmd.add_argument("--output-mode", choices=("text", "structured"), default="text",
                          help="human text or one machine-readable record per object")
@@ -136,32 +136,27 @@ def run(args: argparse.Namespace) -> int:
     mode = args.output_mode
     if args.command == "surface":
         _print_surface(surface_data(args.d, args.n), mode)
-        return 0
-    if args.command == "tables":
+    elif args.command == "tables":
         _print_tables(surface_table(args.d, args.n_max), mode)
-        return 0
-    if args.command == "lift":
+    elif args.command == "lift":
         _print_functor(groupoid.lifted_half_twist(args.d, args.n, args.i), mode)
-        return 0
-    if args.command == "dehn":
+    elif args.command == "dehn":
         _print_functor(groupoid.dehn_twist(args.d, args.n, args.i, args.j), mode)
-        return 0
-    if args.command == "aut":
+    elif args.command == "aut":
         _print_automorphism(braid.half_twist_action(args.d, args.n, args.i), mode)
-        return 0
-    if args.command == "eval":
+    elif args.command == "eval":
         w = braid.parse_braid(args.d, args.n, args.word)
         _print_automorphism(braid.evaluate(w), mode)
-        return 0
-    if args.command == "matrix":
+    elif args.command == "matrix":
         w = braid.parse_braid(args.d, args.n, args.word)
         _print_matrix(braid.braid_matrix(w), mode)
-        return 0
-    if args.command == "verify":
+    elif args.command == "verify":
         report = braid.run_suite(args.d, args.n, args.suite)
         _print_report(report, mode)
         return 0 if report.all_passed else 1
-    raise AssertionError(f"unhandled command {args.command}")
+    else:
+        raise AssertionError(f"unhandled command {args.command}")
+    return 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:

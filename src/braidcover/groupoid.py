@@ -33,9 +33,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple
 
-from . import words as _words
 from .errors import EndpointMismatchError, SelfCheckError
-from .words import _reduce_onto, _same_params, _substitute, check_table_size
+from .words import _format_codes, _parse_tokens, _reduce_onto, _same_params, _substitute
+from .words import check_index, check_params, check_table_size
 
 
 class Vertex(NamedTuple):
@@ -67,19 +67,6 @@ def vertices(d: int, n: int) -> tuple[Vertex, ...]:
         + tuple(left_boundary(j) for j in range(1, d + 1))
         + tuple(right_boundary(n, j) for j in range(1, d + 1))
     )
-
-
-def edges(d: int, n: int) -> tuple[Edge, ...]:
-    """All (n+1)d edges ordered by (level, sheet)."""
-    return tuple(Edge(i, j) for i in range(n + 1) for j in range(1, d + 1))
-
-
-def _check_graph(d: int, n: int) -> None:
-    """Like words.check_params, but d = 1 (the base disk) is allowed."""
-    if d < 1:
-        raise ValueError(f"parameter d must be >= 1, got d={d}")
-    if n < 2:
-        raise ValueError(f"parameter n must be >= 2, got n={n}")
 
 
 def _vertex_index(d: int, n: int, v: Vertex) -> int:
@@ -149,7 +136,7 @@ class EdgePath:
 
     def __post_init__(self) -> None:
         d, n = self.d, self.n
-        _check_graph(d, n)
+        check_params(d, n, 1)
         _vertex_index(d, n, self.start)  # validates the vertex
         ends = _ends(d, n)
         count = len(ends)
@@ -191,15 +178,6 @@ class EdgePath:
             return self.start
         return _step_ends(self.d, self.n, self.steps[-1])[1]
 
-    @property
-    def edge_steps(self) -> tuple[tuple[Edge, int], ...]:
-        """Decoded steps as (edge, direction) with direction +1/-1."""
-        out = []
-        for step in self.steps:
-            level, sheet = divmod(abs(step) - 1, self.d)
-            out.append((Edge(level, sheet + 1), 1 if step > 0 else -1))
-        return tuple(out)
-
     def __len__(self) -> int:
         return len(self.steps)
 
@@ -213,7 +191,7 @@ def path(d: int, n: int, steps: Iterable, start: Vertex | None = None) -> EdgePa
     `start` is only needed for the empty path; otherwise it is inferred
     from the first step and the whole chain is checked for compatibility.
     """
-    _check_graph(d, n)
+    check_params(d, n, 1)
     codes = []
     for (i, j, direction) in steps:
         if direction not in (1, -1):
@@ -347,7 +325,7 @@ def compose_functors(F: GroupoidFunctor, G: GroupoidFunctor) -> GroupoidFunctor:
 
 @lru_cache(maxsize=None)
 def identity_functor(d: int, n: int) -> GroupoidFunctor:
-    _check_graph(d, n)
+    check_params(d, n, 1)
     return GroupoidFunctor._trusted(
         d,
         n,
@@ -374,13 +352,6 @@ def _functor(d: int, n: int, swap: tuple[int, int], images: dict[Edge, list[tupl
     return GroupoidFunctor(d, n, tuple(vertex_images), tuple(edge_images))
 
 
-def _check_twist(d: int, n: int, i: int) -> None:
-    """Twist index in range, and an edge table within the letter budget."""
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"twist index i must be in 1..{n - 1}, got i={i}")
-    check_table_size(d, n, (n + 1) * d)
-
-
 @lru_cache(maxsize=None)
 def lifted_half_twist(d: int, n: int, i: int) -> GroupoidFunctor:
     """Lift of the half twist swapping branch points i and i+1.
@@ -389,8 +360,8 @@ def lifted_half_twist(d: int, n: int, i: int) -> GroupoidFunctor:
     e[i-1,j] -> e[i-1,j]*e[i,j+1], e[i,j] -> e[i,j+1]^-1,
     e[i+1,j] -> e[i,j]*e[i+1,j]; everything else is fixed.
     """
-    _words.check_params(d, n)
-    _check_twist(d, n, i)
+    check_params(d, n)
+    check_index(d, n, i, (n + 1) * d)
     images: dict[Edge, list[tuple[int, int, int]]] = {}
     for j in range(1, d + 1):
         images[Edge(i - 1, j)] = [(i - 1, j, 1), (i, _wrap(d, j + 1), 1)]
@@ -408,8 +379,8 @@ def lifted_half_twist_inverse(d: int, n: int, i: int) -> GroupoidFunctor:
     e[i+1,j] -> e[i,j-1]*e[i+1,j]); construction verifies that composing
     with the lift in either order gives the identity functor.
     """
-    _words.check_params(d, n)
-    _check_twist(d, n, i)
+    check_params(d, n)
+    check_index(d, n, i, (n + 1) * d)
     images: dict[Edge, list[tuple[int, int, int]]] = {}
     for j in range(1, d + 1):
         images[Edge(i - 1, j)] = [(i - 1, j, 1), (i, j, 1)]
@@ -433,8 +404,8 @@ def dehn_twist(d: int, n: int, i: int, j: int) -> GroupoidFunctor:
     unique vertex map making them endpoint-consistent, and the constructor
     check would reject anything else.
     """
-    _words.check_params(d, n)
-    _check_twist(d, n, i)
+    check_params(d, n)
+    check_index(d, n, i, (n + 1) * d)
     jj = _wrap(d, j)
     j1 = _wrap(d, j + 1)
     images: dict[Edge, list[tuple[int, int, int]]] = {}
@@ -468,8 +439,8 @@ def base_half_twist(n: int, i: int) -> GroupoidFunctor:
     Written out by hand rather than taken as lifted_half_twist(1, n, i), so
     the lift/projection check compares two independent tables.
     """
-    _check_graph(1, n)
-    _check_twist(1, n, i)
+    check_params(1, n, 1)
+    check_index(1, n, i, n + 1)
     return _functor(1, n, (i, i + 1), {
         Edge(i - 1, 1): [(i - 1, 1, 1), (i, 1, 1)],
         Edge(i, 1): [(i, 1, -1)],
@@ -528,8 +499,9 @@ def _is_lift(lift: GroupoidFunctor, base: GroupoidFunctor) -> bool:
 
 # -- text grammar ------------------------------------------------------------
 #
-# Edge token `e[i,j]` with optional `^-1`, joined by `*`; vertices render as
-# `v[i]`, `v0[j]`, `vN1[j]`; an empty path renders as its start vertex.
+# Edge tokens `e[i,j]` follow the word grammar of `words` (an edge code
+# i*d + j spells as level i, sheet j); vertices render as `v[i]`, `v0[j]`,
+# `vN1[j]`, and an empty path renders as its start vertex.
 
 def format_vertex(v: Vertex) -> str:
     if v.sheet == 0:
@@ -538,17 +510,12 @@ def format_vertex(v: Vertex) -> str:
 
 
 def format_path(p: EdgePath) -> str:
-    if not p.steps:
-        return format_vertex(p.start)
-    parts = []
-    for (edge, direction) in p.edge_steps:
-        parts.append(f"e[{edge.level},{edge.sheet}]" + ("^-1" if direction < 0 else ""))
-    return "*".join(parts)
+    return _format_codes(p.steps, "e", p.d, 0) if p.steps else format_vertex(p.start)
 
 
 def parse_path(d: int, n: int, text: str) -> EdgePath:
     """Parse the path grammar; a lone vertex token is the empty path there."""
-    _check_graph(d, n)
+    check_params(d, n, 1)
     text = text.strip()
     if text.startswith("v"):
         if text.startswith("v0[") and text.endswith("]"):
@@ -558,18 +525,4 @@ def parse_path(d: int, n: int, text: str) -> EdgePath:
         if text.startswith("v[") and text.endswith("]"):
             return empty_path(d, n, interior(int(text[2:-1])))
         raise ValueError(f"cannot parse vertex token {text!r}")
-    steps: list[tuple[int, int, int]] = []
-    for token in text.split("*"):
-        token = token.strip()
-        direction = 1
-        if token.endswith("^-1"):
-            direction = -1
-            token = token[:-3]
-        if not (token.startswith("e[") and token.endswith("]")):
-            raise ValueError(f"cannot parse edge token {token!r}")
-        try:
-            i_text, j_text = token[2:-1].split(",")
-            steps.append((int(i_text), int(j_text), direction))
-        except ValueError:
-            raise ValueError(f"cannot parse edge token {token!r}") from None
-    return path(d, n, steps)
+    return path(d, n, _parse_tokens(text, "e"))

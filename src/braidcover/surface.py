@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .words import check_table_size
+
 
 @dataclass(frozen=True)
 class SurfaceData:
@@ -47,6 +49,7 @@ def table(d: int, n_max: int) -> tuple[SurfaceData, ...]:
     """Rows n = 1..n_max for a fixed sheet count d."""
     if n_max < 1:
         raise ValueError(f"parameter n_max must be >= 1, got n_max={n_max}")
+    check_table_size(d, n_max, n_max)
     return tuple(surface(d, n) for n in range(1, n_max + 1))
 
 

@@ -40,21 +40,32 @@ def rank(d: int, n: int) -> int:
     return (d - 1) * (n - 1)
 
 
-def check_params(d: int, n: int) -> None:
-    if d < 2:
-        raise ValueError(f"parameter d must be >= 2, got d={d}")
+def check_params(d: int, n: int, least_d: int = 2) -> None:
+    """Ambient parameters in range; groupoid graphs pass least_d = 1, since
+    the base disk is the cover graph at d = 1."""
+    if d < least_d:
+        raise ValueError(f"parameter d must be >= {least_d}, got d={d}")
     if n < 2:
         raise ValueError(f"parameter n must be >= 2, got n={n}")
 
 
 def check_table_size(d: int, n: int, size: int) -> None:
-    """Refuse a generator or edge table of `size` images past the letter
-    budget, before anything is allocated for it."""
+    """Refuse a table of `size` entries (generator or edge images, matrix
+    entries, invariant rows) past the letter budget, before anything is
+    allocated for it."""
     if size > LETTER_BUDGET:
         raise BudgetExceededError(
-            f"a table of {size} images for d={d}, n={n} exceeds the letter budget "
+            f"a table of {size} entries for d={d}, n={n} exceeds the letter budget "
             f"of {LETTER_BUDGET}"
         )
+
+
+def check_index(d: int, n: int, i: int, size: int) -> None:
+    """Generator or twist index in 1..n-1, and a table of `size` entries
+    within the letter budget."""
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"index i must be in 1..{n - 1}, got i={i}")
+    check_table_size(d, n, size)
 
 
 @lru_cache(maxsize=None)
@@ -333,18 +344,43 @@ def matrix_determinant(m) -> int:
 
 # -- text grammar ------------------------------------------------------------
 #
-# Token `x[i,j]`, optionally followed by `^-1`; tokens joined by `*`; the
-# empty word renders as `1`.
+# Words and groupoid paths share one grammar: token `p[i,j]`, optionally
+# followed by `^-1`, tokens joined by `*`.  Words use `x` (the basis), paths
+# `e` (the edges, see `groupoid`); the empty word renders as `1`.
+
+def _format_codes(codes: tuple[int, ...], prefix: str, span: int, first: int) -> str:
+    """Spell signed codes as `prefix[i,j]` tokens joined by `*`.
+
+    Code c > 0 is the token with i = (c-1) // span + first and
+    j = (c-1) % span + 1; -c is its inverse.  Each distinct code is spelled
+    once per call.
+    """
+    spelled = {}
+    for c in set(codes):
+        i, j = divmod(abs(c) - 1, span)
+        spelled[c] = f"{prefix}[{i + first},{j + 1}]" + ("^-1" if c < 0 else "")
+    return "*".join(map(spelled.__getitem__, codes))
+
+
+def _parse_tokens(text: str, prefix: str) -> list[tuple[int, int, int]]:
+    """(i, j, sign) of every `prefix[i,j]` token in a `*`-joined product."""
+    head = prefix + "["
+    triples: list[tuple[int, int, int]] = []
+    for token in text.split("*"):
+        token = token.strip()
+        body, sign = (token[:-3], -1) if token.endswith("^-1") else (token, 1)
+        try:
+            if not (body.startswith(head) and body.endswith("]")):
+                raise ValueError
+            i_text, j_text = body[len(head):-1].split(",")
+            triples.append((int(i_text), int(j_text), sign))
+        except ValueError:
+            raise ValueError(f"cannot parse {prefix}[i,j] token {token!r}") from None
+    return triples
+
 
 def format_word(w: Word) -> str:
-    if not w.codes:
-        return "1"
-    span = w.d - 1
-    parts = []
-    for c in w.codes:
-        i, j = (abs(c) - 1) // span + 1, (abs(c) - 1) % span + 1
-        parts.append(f"x[{i},{j}]" + ("^-1" if c < 0 else ""))
-    return "*".join(parts)
+    return _format_codes(w.codes, "x", w.d - 1, 1) if w.codes else "1"
 
 
 def parse_word(d: int, n: int, text: str) -> Word:
@@ -353,18 +389,4 @@ def parse_word(d: int, n: int, text: str) -> Word:
     text = text.strip()
     if text in ("", "1"):
         return empty_word(d, n)
-    letters: list[tuple[int, int, int]] = []
-    for token in text.split("*"):
-        token = token.strip()
-        sign = 1
-        if token.endswith("^-1"):
-            sign = -1
-            token = token[:-3]
-        if not (token.startswith("x[") and token.endswith("]")):
-            raise ValueError(f"cannot parse word token {token!r}")
-        try:
-            i_text, j_text = token[2:-1].split(",")
-            letters.append((int(i_text), int(j_text), sign))
-        except ValueError:
-            raise ValueError(f"cannot parse word token {token!r}") from None
-    return reduce(d, n, letters)
+    return reduce(d, n, _parse_tokens(text, "x"))

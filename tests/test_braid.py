@@ -303,3 +303,65 @@ def test_failing_comparison_names_the_first_differing_generator():
     assert result.detail.startswith("x[1,1]:")
     report = Report((result, CheckResult("fine", True)))
     assert not report.all_passed
+
+
+def test_failing_functor_comparison_names_the_first_differing_edge():
+    lift = groupoid.lifted_half_twist(3, 2, 1)
+    result = braid._compare_functors("probe", lift, groupoid.dehn_twist(3, 2, 1, 2))
+    assert not result.passed
+    assert result.detail == "e[0,3]: e[0,3]*e[1,1] != e[0,3]*e[1,2]"
+    result = braid._compare_functors("probe", lift, groupoid.identity_functor(3, 2))
+    assert (result.passed, result.detail) == (False, "vertex maps differ")
+
+
+def test_failing_automorphism_comparison_spells_the_full_detail():
+    result = braid._compare_automorphisms(
+        "probe", half_twist_action(3, 2, 1), identity_automorphism(3, 2)
+    )
+    assert result.detail == "x[1,1]: x[1,2]^-1 != x[1,1]"
+
+
+def test_passing_comparisons_build_no_row_names(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("row names built for a passing check")
+
+    lift, f = groupoid.lifted_half_twist(3, 3, 1), half_twist_action(3, 3, 1)
+    for module, name in ((words, "identity_automorphism"), (groupoid, "identity_functor"),
+                         (words, "format_word"), (groupoid, "format_path")):
+        monkeypatch.setattr(module, name, refuse)
+    assert braid._compare_functors("same", lift, lift) == CheckResult("same", True)
+    assert braid._compare_automorphisms("same", f, f) == CheckResult("same", True)
+
+
+def test_relation_list_names_sides_in_check_order():
+    assert list(braid._relations(4)) == [
+        ("braid_relation i=1", (1, 2, 1), (2, 1, 2)),
+        ("braid_relation i=2", (2, 3, 2), (3, 2, 3)),
+        ("far_commutation i=1 k=3", (1, 3), (3, 1)),
+    ]
+    names = [c.name for c in check_braid_relations(3, 5).checks]
+    assert names == [
+        "braid_relation i=1 functor", "braid_relation i=1 automorphism",
+        "braid_relation i=2 functor", "braid_relation i=2 automorphism",
+        "braid_relation i=3 functor", "braid_relation i=3 automorphism",
+        "far_commutation i=1 k=3 functor", "far_commutation i=1 k=3 automorphism",
+        "far_commutation i=1 k=4 functor", "far_commutation i=1 k=4 automorphism",
+        "far_commutation i=2 k=4 functor", "far_commutation i=2 k=4 automorphism",
+    ]
+
+
+def test_run_suite_calls_the_checkers_through_the_module(monkeypatch):
+    # a wrapper installed on the module attribute (a tracer, a test double)
+    # sees every call that run_suite makes
+    calls = []
+    original = braid.check_lift_projection
+
+    def spy(d, n):
+        calls.append((d, n))
+        return original(d, n)
+
+    monkeypatch.setattr(braid, "check_lift_projection", spy)
+    assert list(braid.SUITES) == ["relations", "dehn", "lift", "cross"]
+    assert len(run_suite(3, 3, "lift")) == 2
+    assert run_suite(3, 3).all_passed
+    assert calls == [(3, 3), (3, 3)]

@@ -218,3 +218,37 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "b=5 g=6 rank=16\n"
+
+
+def test_oversized_matrix_exits_one_before_allocation(capsys, monkeypatch):
+    # rank 4 at d = n = 3, so the matrix holds 16 entries
+    monkeypatch.setattr(words, "LETTER_BUDGET", 15)
+    code, out, err = run_cli(capsys, "matrix", "--d", "3", "--n", "3", "--word", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: a table of 16 entries for d=3, n=3 exceeds the letter budget of 15\n"
+    monkeypatch.setattr(words, "LETTER_BUDGET", 16)
+    assert run_cli(capsys, "matrix", "--d", "3", "--n", "3", "--word", "1")[0] == 0
+
+
+def test_oversized_invariant_table_exits_one_before_allocation(capsys, monkeypatch):
+    monkeypatch.setattr(words, "LETTER_BUDGET", 8)
+    code, out, err = run_cli(capsys, "tables", "--d", "4", "--n-max", "9")
+    assert (code, out) == (1, "")
+    assert "a table of 9 entries for d=4, n=9" in err
+    monkeypatch.setattr(words, "LETTER_BUDGET", 9)
+    code, out, _ = run_cli(capsys, "tables", "--d", "4", "--n-max", "9")
+    assert code == 0 and len(out.splitlines()) == 10
+
+
+def test_index_errors_read_the_same_at_both_levels(capsys):
+    for argv in (("aut", "--i", "3"), ("lift", "--i", "3"), ("dehn", "--i", "3", "--j", "1")):
+        code, out, err = run_cli(capsys, argv[0], "--d", "3", "--n", "3", *argv[1:])
+        assert (code, out, err) == (2, "", "error: index i must be in 1..2, got i=3\n"), argv
+
+
+def test_suite_choices_come_from_the_suite_registry(capsys):
+    for suite in (*braid.SUITES, "all"):
+        assert run_cli(capsys, "verify", "--d", "2", "--n", "3", "--suite", suite)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--d", "2", "--n", "3", "--suite", "everything"])
+    assert exc.value.code == 2

@@ -503,3 +503,27 @@ def test_path_grammar_round_trip():
 def test_parse_path_rejects_bad_tokens(bad):
     with pytest.raises(ValueError):
         parse_path(3, 2, bad)
+
+
+def test_format_path_spells_two_digit_indices():
+    # edge code i*d + j: level 11, sheet 12 at d = 12 is code 144
+    q = edge_path(12, 12, 11, 12)
+    assert q.steps == (144,)
+    assert format_path(q) == "e[11,12]"
+    assert format_path(path_invert(q)) == "e[11,12]^-1"
+    assert parse_path(12, 12, "e[11,12]") == q
+
+
+def test_projected_path_formats_over_the_base_edges():
+    q = p(3, 2, "e[0,2]*e[1,3]*e[2,1]")
+    assert format_path(project(q)) == "e[0,1]*e[1,1]*e[2,1]"
+    assert parse_path(1, 2, "e[0,1]*e[1,1]*e[2,1]") == project(q)
+
+
+@given(st.tuples(st.integers(1, 12), st.integers(2, 12)), st.integers(0, 2**32 - 1))
+def test_any_path_round_trips_through_text(dn, seed):
+    d, n = dn
+    rng = random.Random(seed)
+    start, steps = _random_walk(rng, d, n, rng.randint(0, 24))
+    q = path(d, n, steps, start=start)
+    assert parse_path(d, n, format_path(q)) == q

@@ -292,3 +292,28 @@ def test_word_dataclass_is_hashable_and_immutable():
     assert hash(u) == hash(w(3, 2, "x[1,1]"))
     with pytest.raises(AttributeError):
         u.codes = ()
+
+
+def test_format_word_spells_two_digit_indices():
+    # code 121 at d = 12 is row (121-1) // 11 + 1 = 11, sheet 120 % 11 + 1 = 11
+    assert format_word(words.Word(12, 12, (-121,))) == "x[11,11]^-1"
+    assert format_word(words.Word(12, 12, (-121, 1, 11, 1))) == "x[11,11]^-1*x[1,1]*x[1,11]*x[1,1]"
+    assert parse_word(12, 12, "x[11,11]^-1") == words.Word(12, 12, (-121,))
+
+
+def test_check_index_is_shared_by_both_levels():
+    from braidcover import groupoid
+
+    with pytest.raises(ValueError, match=r"^index i must be in 1\.\.2, got i=3$"):
+        words.check_index(3, 3, 3, 4)
+    for build in (
+        lambda: braid.half_twist_action(3, 3, 3),
+        lambda: braid.conjugate_twist_action(3, 3, 0),
+        lambda: braid.dehn_twist_product(3, 3, 3),
+        lambda: groupoid.lifted_half_twist(3, 3, 0),
+        lambda: groupoid.lifted_half_twist_inverse(3, 3, 3),
+        lambda: groupoid.dehn_twist(3, 3, 3, 1),
+        lambda: groupoid.base_half_twist(3, 3),
+    ):
+        with pytest.raises(ValueError, match=r"^index i must be in 1\.\.2, got i=[03]$"):
+            build()
