@@ -83,25 +83,25 @@ def half_twist_action(d: int, n: int, i: int) -> FreeAutomorphism:
     """
     words.check_params(d, n)
     words.check_index(d, n, i, words.rank(d, n))
-    images: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for j in range(1, d):
-        if i >= 2:
-            images[(i - 1, j)] = (
+
+    def image(row: int, j: int) -> list[tuple[int, int, int]]:
+        if row == i - 1:
+            return (
                 [(i - 1, t, -1) for t in range(j - 1, 0, -1)]
                 + [(i, j + 1, 1)]
                 + [(i - 1, t, 1) for t in range(1, j + 1)]
             )
-        images[(i, j)] = (
-            [(i, t, 1) for t in range(2, j + 1)]
-            + [(i, t, -1) for t in range(j + 1, 1, -1)]
-        )
-        if i + 1 <= n - 1:
-            images[(i + 1, j)] = (
+        if row == i:
+            return [(i, t, 1) for t in range(2, j + 1)] + [(i, t, -1) for t in range(j + 1, 1, -1)]
+        if row == i + 1:
+            return (
                 [(i, t, -1) for t in range(j - 1, 0, -1)]
                 + [(i + 1, j, 1)]
                 + [(i, t, 1) for t in range(1, j + 1)]
             )
-    return _automorphism_from_table(d, n, images)
+        return [(row, j, 1)]
+
+    return _automorphism_from_images(d, n, image)
 
 
 @lru_cache(maxsize=None)
@@ -119,14 +119,16 @@ def conjugate_twist_action(d: int, n: int, i: int) -> FreeAutomorphism:
     def y_inv(row: int, j: int) -> list[tuple[int, int, int]]:
         return [(row, t, -1) for t in range(j - 1, 0, -1)]
 
-    images: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for j in range(1, d):
-        if i >= 2:
-            images[(i - 1, j)] = y_inv(i - 1, j) + [(i, j + 1, 1)] + y(i - 1, j + 1)
-        images[(i, j)] = [(i, 1, -1)] + y(i, j + 1) + y_inv(i, j + 2) + [(i, 1, 1)]
-        if i + 1 <= n - 1:
-            images[(i + 1, j)] = y_inv(i, j) + [(i + 1, j, 1)] + y(i, j + 1)
-    action = _automorphism_from_table(d, n, images)
+    def image(row: int, j: int) -> list[tuple[int, int, int]]:
+        if row == i - 1:
+            return y_inv(i - 1, j) + [(i, j + 1, 1)] + y(i - 1, j + 1)
+        if row == i:
+            return [(i, 1, -1)] + y(i, j + 1) + y_inv(i, j + 2) + [(i, 1, 1)]
+        if row == i + 1:
+            return y_inv(i, j) + [(i + 1, j, 1)] + y(i, j + 1)
+        return [(row, j, 1)]
+
+    action = _automorphism_from_images(d, n, image)
     if not words.equal(action, half_twist_action(d, n, i)):
         raise SelfCheckError(
             f"conjugate form disagrees with the closed form for d={d}, n={n}, i={i}"
@@ -134,15 +136,18 @@ def conjugate_twist_action(d: int, n: int, i: int) -> FreeAutomorphism:
     return action
 
 
-def _automorphism_from_table(d, n, images) -> FreeAutomorphism:
-    return FreeAutomorphism(
-        d,
-        n,
-        tuple(
-            words.word(d, n, images.get((i, j), [(i, j, 1)]))
-            for (i, j) in words.symbols(d, n)
-        ),
+def _automorphism_from_images(d, n, image) -> FreeAutomorphism:
+    """Automorphism mapping x[row,j] to the letter triples `image(row, j)`.
+
+    Rows near row i grow like j and the table like d^2, so the rows are
+    built lazily and a table past the letter budget is refused after
+    O(budget) work."""
+    rows = (
+        words._reduce_onto([], words._encode(d, n, image(row, j)))
+        for row in range(1, n)
+        for j in range(1, d)
     )
+    return FreeAutomorphism(d, n, words.bounded_table(d, n, rows))
 
 
 @lru_cache(maxsize=None)
@@ -202,33 +207,28 @@ class Report:
         return len(self.checks)
 
 
-def _compare_tables(name: str, rows, other_rows, identity_rows, spell) -> CheckResult:
-    """Pass, or fail naming the first row where two image tables differ.
+def _compare_tables(name: str, f, g, identity, spell) -> CheckResult:
+    """Pass, or fail naming the first row where the tables of two maps differ.
 
-    A row is named by the identity's image at its index, `identity_rows()[k]`,
-    which is only built when the check fails.
+    Row c - 1 holds the image of code c.  Only when the check fails are the
+    rows there built as values (`_image(c)`) and spelled; the row is named
+    by the image of `identity(d, n)` there.
     """
-    for k, (a, b) in enumerate(zip(rows, other_rows)):
+    for code, (a, b) in enumerate(zip(f.table, g.table), start=1):
         if a != b:
-            detail = f"{spell(identity_rows()[k])}: {spell(a)} != {spell(b)}"
-            return CheckResult(name, False, detail)
+            label, first, second = (spell(m._image(code)) for m in (identity(f.d, f.n), f, g))
+            return CheckResult(name, False, f"{label}: {first} != {second}")
     return CheckResult(name, True)
 
 
 def _compare_functors(name: str, F, G) -> CheckResult:
     if F.vertex_images != G.vertex_images:
         return CheckResult(name, False, "vertex maps differ")
-    return _compare_tables(
-        name, F.edge_images, G.edge_images,
-        lambda: groupoid.identity_functor(F.d, F.n).edge_images, groupoid.format_path,
-    )
+    return _compare_tables(name, F, G, groupoid.identity_functor, groupoid.format_path)
 
 
 def _compare_automorphisms(name: str, f, g) -> CheckResult:
-    return _compare_tables(
-        name, f.images, g.images,
-        lambda: words.identity_automorphism(f.d, f.n).images, words.format_word,
-    )
+    return _compare_tables(name, f, g, words.identity_automorphism, words.format_word)
 
 
 def _relations(n: int):
@@ -260,25 +260,20 @@ def check_braid_relations(d: int, n: int) -> Report:
 def check_dehn_factorization(d: int, n: int) -> Report:
     """The twist product along x[i,2..d] acts like braid generator i."""
     words.check_params(d, n)
-    checks = tuple(
+    return Report(tuple(
         _compare_automorphisms(
-            f"dehn_factorization i={i}",
-            dehn_twist_product(d, n, i),
-            half_twist_action(d, n, i),
+            f"dehn_factorization i={i}", dehn_twist_product(d, n, i), half_twist_action(d, n, i)
         )
         for i in range(1, n)
-    )
-    return Report(checks)
+    ))
 
 
 def check_lift_projection(d: int, n: int) -> Report:
     """Collapsing sheets intertwines the lifted and the base half twists."""
     words.check_params(d, n)
-    checks = tuple(
-        CheckResult(f"lift_projection i={i}", groupoid.verify_lift(d, n, i))
-        for i in range(1, n)
-    )
-    return Report(checks)
+    return Report(tuple(
+        CheckResult(f"lift_projection i={i}", groupoid.verify_lift(d, n, i)) for i in range(1, n)
+    ))
 
 
 def check_cross_validation(d: int, n: int) -> Report:

@@ -5,26 +5,28 @@ boundary vertices 0_(j) and d right boundary vertices (n+1)_(j), and d
 parallel edges e[i,j] (sheets j = 1..d) from level i to level i+1 for each
 i = 0..n.  Sheet indices are cyclic with period d.
 
-Self-functors of the free groupoid on this graph are stored as a vertex
-permutation plus an edge -> path table.  The base disk is the same graph at
-d = 1, a single edge per level; `project` collapses sheets onto it.  Paths
-and functors accept any d >= 1, while the twist lifts need a genuine cover,
-d >= 2.
-
 Internally a directed edge step is a signed integer code: the forward edge
 e[i,j] has code i*d + j, a backward traversal the negated code.  A path is
 thus a free-group word over edge codes that carries its endpoints, and it is
 reduced and mapped by the same kernels as words (`words._reduce_onto`,
-`words._substitute`).  Everything is immutable and pure.
+`words._substitute`).  A self-functor of the free groupoid on this graph is
+stored as a vertex permutation plus its substitution table: row c - 1 holds
+the step codes of the image of edge c, a path that starts at the image of
+the edge's source.  `edge_images` and `edge(i, j)` build those paths on
+demand.  The base disk is the same graph at d = 1, a single edge per level;
+`project` collapses sheets onto it.  Paths and functors accept any d >= 1,
+while the twist lifts need a genuine cover, d >= 2.  Everything is
+immutable and pure.
 
 Validation happens at the boundary.  The public constructors `EdgePath(...)`
 and `GroupoidFunctor(...)`, and with them `path`, `edge_path`, `empty_path`,
-`parse_path` and every hand-written twist table, check endpoints, free
-reduction and the fixed boundary.  Values derived from validated ones --
-images, composites, inverses and projections of paths and functors -- are
-valid by construction and are built through the private `_trusted`
-constructors without a second check.  A graph whose edge table would exceed
-`words.LETTER_BUDGET` is rejected before anything is allocated for it.
+`parse_path` and every hand-written twist table, walk each step sequence
+(`_walk`) to check endpoints and free reduction, and check the fixed
+boundary.  Values derived from validated ones -- images, composites,
+inverses and projections -- are valid by construction and are built through
+the private `_trusted` constructors without a second check.  A graph whose
+edge table would exceed `words.LETTER_BUDGET` is refused before anything is
+allocated for it.
 """
 
 from __future__ import annotations
@@ -125,6 +127,45 @@ def _step_ends(d: int, n: int, step: int) -> tuple[Vertex, Vertex]:
     return source, target
 
 
+def _walk(d: int, n: int, start: Vertex, steps: tuple[int, ...]) -> Vertex:
+    """End of the walk along `steps` from `start`.
+
+    Raises unless every step is an edge code of the graph, each step begins
+    where the previous one ended, and no step undoes the one before it.
+    """
+    ends = _ends(d, n)
+    count = len(ends)
+    at, prev = start, 0
+    for step in steps:
+        if 0 < step <= count:
+            begin, end = ends[step - 1]
+        elif 0 < -step <= count:
+            end, begin = ends[-step - 1]
+        else:
+            raise EndpointMismatchError(f"no edge has code {abs(step)} for d={d}, n={n}")
+        if step == -prev:
+            raise ValueError("path is not freely reduced")
+        if begin != at:
+            raise EndpointMismatchError(
+                f"step over edge code {abs(step)} begins at {begin}, expected {at}"
+            )
+        at = end
+        prev = step
+    return at
+
+
+def _trusted_init(cls, *fields):
+    """Build a path or functor from its field values without validation.
+
+    Only for values that are valid by construction because they are derived
+    from validated paths and functors.
+    """
+    self = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, fields):
+        object.__setattr__(self, name, value)
+    return self
+
+
 @dataclass(frozen=True)
 class EdgePath:
     """Endpoint-compatible, freely reduced sequence of signed edge steps."""
@@ -135,42 +176,11 @@ class EdgePath:
     steps: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        d, n = self.d, self.n
-        check_params(d, n, 1)
-        _vertex_index(d, n, self.start)  # validates the vertex
-        ends = _ends(d, n)
-        count = len(ends)
-        at = self.start
-        prev = 0
-        for step in self.steps:
-            if step == -prev:
-                raise ValueError("path is not freely reduced")
-            if 0 < step <= count:
-                begin, end = ends[step - 1]
-            elif 0 < -step <= count:
-                end, begin = ends[-step - 1]
-            else:
-                raise EndpointMismatchError(f"no edge has code {abs(step)} for d={d}, n={n}")
-            if begin != at:
-                raise EndpointMismatchError(
-                    f"step over edge code {abs(step)} begins at {begin}, expected {at}"
-                )
-            at = end
-            prev = step
+        check_params(self.d, self.n, 1)
+        _vertex_index(self.d, self.n, self.start)  # validates the vertex
+        _walk(self.d, self.n, self.start, self.steps)
 
-    @classmethod
-    def _trusted(cls, d: int, n: int, start: Vertex, steps: tuple[int, ...]) -> EdgePath:
-        """Build a path without validation.
-
-        Only for values that are valid by construction because they are
-        derived from validated paths and functors.
-        """
-        self = object.__new__(cls)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "steps", steps)
-        return self
+    _trusted = classmethod(_trusted_init)
 
     @property
     def end(self) -> Vertex:
@@ -230,17 +240,18 @@ def edge_path(d: int, n: int, i: int, j: int, direction: int = 1) -> EdgePath:
 
 @dataclass(frozen=True)
 class GroupoidFunctor:
-    """Self-functor: vertex permutation plus edge -> path images.
+    """Self-functor: vertex permutation plus edge substitution table.
 
-    Construction checks that every edge image runs from the image of the
-    edge's source to the image of its target, and that all boundary
-    vertices stay fixed (the basepoint lives on the left boundary).
+    Construction walks each row from the image of its edge's source and
+    checks that it is a reduced path ending at the image of the edge's
+    target, and that all boundary vertices stay fixed (the basepoint lives
+    on the left boundary).
     """
 
     d: int
     n: int
     vertex_images: tuple[Vertex, ...]  # indexed like vertices(d, n)
-    edge_images: tuple[EdgePath, ...]  # indexed by edge code - 1
+    table: tuple[tuple[int, ...], ...]  # indexed by edge code - 1
 
     def __post_init__(self) -> None:
         d, n = self.d, self.n
@@ -254,45 +265,32 @@ class GroupoidFunctor:
             if v.sheet != 0 and image_of[v] != v:
                 raise ValueError(f"boundary vertex {v} must stay fixed")
         ends = _ends(d, n)
-        if len(self.edge_images) != len(ends):
+        if len(self.table) != len(ends):
             raise ValueError("edge map must cover every edge")
-        for code, ((source, target), image) in enumerate(zip(ends, self.edge_images), start=1):
-            _same_params(self, image)
-            want_start = image_of[source]
-            want_end = image_of[target]
-            if image.start != want_start or image.end != want_end:
+        for code, ((source, target), row) in enumerate(zip(ends, self.table), start=1):
+            end = _walk(d, n, image_of[source], row)
+            if end != image_of[target]:
                 raise EndpointMismatchError(
-                    f"image of edge code {code} runs {image.start} -> {image.end}, "
-                    f"expected {want_start} -> {want_end}"
+                    f"image of edge code {code} ends at {end}, expected {image_of[target]}"
                 )
 
-    @classmethod
-    def _trusted(
-        cls, d: int, n: int, vertex_images: tuple[Vertex, ...], edge_images: tuple[EdgePath, ...]
-    ) -> GroupoidFunctor:
-        """Build a functor without validation.
-
-        Only for values that are valid by construction, such as composites
-        of validated functors.
-        """
-        self = object.__new__(cls)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "vertex_images", vertex_images)
-        object.__setattr__(self, "edge_images", edge_images)
-        return self
+    _trusted = classmethod(_trusted_init)
 
     def vertex(self, v: Vertex) -> Vertex:
         return self.vertex_images[_vertex_index(self.d, self.n, v)]
 
+    def _image(self, code: int) -> EdgePath:
+        source = _ends(self.d, self.n)[code - 1][0]
+        return EdgePath._trusted(self.d, self.n, self._vertex_map[source], self.table[code - 1])
+
+    @property
+    def edge_images(self) -> tuple[EdgePath, ...]:
+        """Every edge image as a path, indexed by edge code - 1."""
+        return tuple(map(self._image, range(1, len(self.table) + 1)))
+
     def edge(self, i: int, j: int) -> EdgePath:
         """Image of the edge e[i,j] (sheet wrapped mod d)."""
-        return self.edge_images[_edge_code(self.d, self.n, i, j) - 1]
-
-    @cached_property
-    def _table(self) -> tuple[tuple[int, ...], ...]:
-        """Image steps indexed by edge code - 1, the `_substitute` table."""
-        return tuple(image.steps for image in self.edge_images)
+        return self._image(_edge_code(self.d, self.n, i, j))
 
     @cached_property
     def _vertex_map(self) -> dict[Vertex, Vertex]:
@@ -303,53 +301,43 @@ class GroupoidFunctor:
 def apply_functor(F: GroupoidFunctor, p: EdgePath) -> EdgePath:
     """Image of a path: expand step by step, then freely reduce."""
     _same_params(F, p)
-    return EdgePath._trusted(F.d, F.n, F.vertex(p.start), _substitute(F._table, p.steps))
+    return EdgePath._trusted(F.d, F.n, F.vertex(p.start), _substitute(F.table, p.steps))
 
 
 def compose_functors(F: GroupoidFunctor, G: GroupoidFunctor) -> GroupoidFunctor:
     """Composite that applies F first, then G."""
     _same_params(F, G)
-    d, n = F.d, F.n
-    table = G._table
-    image_of = G._vertex_map
+    image_of, table = G._vertex_map, G.table
     return GroupoidFunctor._trusted(
-        d,
-        n,
-        tuple(image_of[v] for v in F.vertex_images),
-        tuple(
-            EdgePath._trusted(d, n, image_of[image.start], _substitute(table, image.steps))
-            for image in F.edge_images
-        ),
+        F.d, F.n, tuple(image_of[v] for v in F.vertex_images),
+        tuple(_substitute(table, row) for row in F.table),
     )
 
 
 @lru_cache(maxsize=None)
 def identity_functor(d: int, n: int) -> GroupoidFunctor:
     check_params(d, n, 1)
+    check_table_size(d, n, (n + 1) * d)
     return GroupoidFunctor._trusted(
-        d,
-        n,
-        vertices(d, n),
-        tuple(
-            EdgePath._trusted(d, n, source, (code,))
-            for code, (source, _) in enumerate(_ends(d, n), start=1)
-        ),
+        d, n, vertices(d, n), tuple((code,) for code in range(1, (n + 1) * d + 1))
     )
 
 
 def _functor(d: int, n: int, swap: tuple[int, int], images: dict[Edge, list[tuple[int, int, int]]]) -> GroupoidFunctor:
     """Functor that swaps two interior vertices and overrides some edges.
 
-    The identity's edge images are shared; the overrides are validated paths
-    and the result goes through the validating constructor.
+    The overrides are (level, sheet, direction) steps; the identity's rows
+    are shared, and the result goes through the validating constructor.
     """
     vertex_images = list(vertices(d, n))
     a, b = swap
     vertex_images[a - 1], vertex_images[b - 1] = vertex_images[b - 1], vertex_images[a - 1]
-    edge_images = list(identity_functor(d, n).edge_images)
+    table = list(identity_functor(d, n).table)
     for (level, sheet), steps in images.items():
-        edge_images[_edge_code(d, n, level, sheet) - 1] = path(d, n, steps)
-    return GroupoidFunctor(d, n, tuple(vertex_images), tuple(edge_images))
+        table[_edge_code(d, n, level, sheet) - 1] = tuple(
+            direction * _edge_code(d, n, i, j) for (i, j, direction) in steps
+        )
+    return GroupoidFunctor(d, n, tuple(vertex_images), tuple(table))
 
 
 @lru_cache(maxsize=None)
@@ -479,18 +467,14 @@ def _is_lift(lift: GroupoidFunctor, base: GroupoidFunctor) -> bool:
     a mapping class of the disk must also commute with the deck
     transformation that moves every sheet up by one.
     """
-    d = lift.d
+    d, table = lift.d, lift.table
     collapse = _collapse_table(d, lift.n)
-    for code, image in enumerate(lift.edge_images, start=1):
-        # the base image is a validated path, so equal start level and equal
-        # collapsed steps mean project(image) equals it
-        want = base.edge_images[(code - 1) // d]
-        if image.start.level != want.start.level:
-            return False
-        if _substitute(collapse, image.steps) != want.steps:
-            return False
+    # both tables hold validated, nonempty rows, and on the base a step's
+    # code fixes the level it begins at, so equal collapsed rows mean the
+    # projected image paths are equal, start vertices included
+    if any(_substitute(collapse, row) != base.table[k // d] for k, row in enumerate(table)):
+        return False
     deck = _deck_table(d, lift.n)
-    table = lift._table
     return all(
         table[shifted - 1] == _substitute(deck, steps)
         for ((shifted,), steps) in zip(deck, table)

@@ -59,29 +59,29 @@ def basepoint(d: int, n: int) -> Vertex:
 def base_path(d: int, n: int, i: int) -> EdgePath:
     """The tree path p_i = e[0,1]*e[1,1]*...*e[i-1,1] from 0_(1) to vertex i."""
     words.check_params(d, n)
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"path index i must be in 1..{n - 1}, got i={i}")
+    words.check_index(d, n, i, (n + 1) * d)
     return groupoid.path(d, n, [(level, 1, 1) for level in range(i)])
+
+
+def _loop(d: int, n: int, i: int, a: int, b: int) -> EdgePath:
+    """Basepoint loop p_i * e[i,a] * e[i,b]^-1 * p_i^-1."""
+    words.check_params(d, n)
+    words.check_index(d, n, i, (n + 1) * d)
+    tree = [(level, 1, 1) for level in range(i)]
+    steps = tree + [(i, a, 1), (i, b, -1)] + [(level, 1, -1) for level in reversed(range(i))]
+    return groupoid.path(d, n, steps, start=basepoint(d, n))
 
 
 @lru_cache(maxsize=None)
 def loop_x(d: int, n: int, i: int, j: int) -> EdgePath:
     """Basepoint loop x[i,j] = p_i * e[i,j] * e[i,j+1]^-1 * p_i^-1, j mod d."""
-    p = base_path(d, n, i)
-    steps = [(level, 1, 1) for level in range(i)]
-    steps += [(i, j, 1), (i, j + 1, -1)]
-    steps += [(level, 1, -1) for level in reversed(range(i))]
-    return groupoid.path(d, n, steps, start=p.start)
+    return _loop(d, n, i, j, j + 1)
 
 
 @lru_cache(maxsize=None)
 def loop_y(d: int, n: int, i: int, j: int) -> EdgePath:
     """Basepoint loop y[i,j] = p_i * e[i,1] * e[i,j]^-1 * p_i^-1 (empty at j=1)."""
-    p = base_path(d, n, i)
-    steps = [(level, 1, 1) for level in range(i)]
-    steps += [(i, 1, 1), (i, j, -1)]
-    steps += [(level, 1, -1) for level in reversed(range(i))]
-    return groupoid.path(d, n, steps, start=p.start)
+    return _loop(d, n, i, 1, j)
 
 
 @lru_cache(maxsize=None)
@@ -126,13 +126,17 @@ def word_to_loop(w: Word) -> EdgePath:
 
 
 def functor_to_automorphism(F: GroupoidFunctor) -> FreeAutomorphism:
-    """Action of a basepoint-fixing functor on the surface group."""
+    """Action of a basepoint-fixing functor on the surface group.
+
+    One composition of three substitution tables: each generator's x-loop,
+    its image under F (again a basepoint loop, as F fixes the basepoint),
+    and that loop rewritten as a word.  Like the closed form, the table is
+    refused once its letters pass the letter budget.
+    """
     d, n = F.d, F.n
     base = basepoint(d, n)
     if F.vertex(base) != base:
         raise ValueError(f"functor moves the basepoint {base}")
-    images = tuple(
-        loop_to_word(groupoid.apply_functor(F, loop_x(d, n, i, j)))
-        for (i, j) in words.symbols(d, n)
-    )
-    return FreeAutomorphism(d, n, images)
+    table, edge_words = F.table, _edge_words(d, n)
+    rows = (_substitute(edge_words, _substitute(table, loop)) for loop in _x_loops(d, n))
+    return FreeAutomorphism(d, n, words.bounded_table(d, n, rows))

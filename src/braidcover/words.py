@@ -8,14 +8,17 @@ stored word is a freely reduced word over the basis proper and equality is
 literal letter-by-letter comparison.
 
 Internally a letter is a signed integer code: x[i,j] has code
-(i-1)*(d-1) + j, its inverse the negated code.  All values are immutable
-and every operation is pure.
+(i-1)*(d-1) + j, its inverse the negated code.  An automorphism is stored
+only as its substitution table, the image codes of every basis generator;
+`apply`, `compose`, `equal` and `abelianize` read that table, and the Word
+views (`images`, `image(i, j)`) are built on demand.  All values are
+immutable and every operation is pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .errors import BudgetExceededError, ParameterMismatchError
@@ -66,6 +69,21 @@ def check_index(d: int, n: int, i: int, size: int) -> None:
     if not 1 <= i <= n - 1:
         raise ValueError(f"index i must be in 1..{n - 1}, got i={i}")
     check_table_size(d, n, size)
+
+
+def bounded_table(d: int, n: int, rows: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """Collect table rows, refusing as soon as their letters pass the letter
+    budget, so the work done before a refusal is O(budget)."""
+    table, letters = [], 0
+    for row in rows:
+        letters += len(row)
+        if letters > LETTER_BUDGET:
+            raise BudgetExceededError(
+                f"the images for d={d}, n={n} hold more letters than the letter budget "
+                f"of {LETTER_BUDGET}"
+            )
+        table.append(row)
+    return tuple(table)
 
 
 @lru_cache(maxsize=None)
@@ -228,7 +246,8 @@ def conjugate(x: Word, y: Word) -> Word:
 
 @dataclass(frozen=True)
 class FreeAutomorphism:
-    """Endomorphism given by its reduced image on every basis generator.
+    """Endomorphism given by its substitution table: row c - 1 holds the
+    reduced image codes of the basis generator with code c.
 
     Values produced by this package are always invertible; invertibility is
     witnessed where it matters (a known inverse, or unimodularity on
@@ -237,65 +256,62 @@ class FreeAutomorphism:
 
     d: int
     n: int
-    images: tuple[Word, ...]  # indexed by basis code - 1, i.e. ordered by (i, j)
+    table: tuple[tuple[int, ...], ...]  # indexed by basis code - 1, i.e. ordered by (i, j)
 
     def __post_init__(self) -> None:
-        if len(self.images) != rank(self.d, self.n):
+        if len(self.table) != rank(self.d, self.n):
             raise ValueError(
-                f"need {rank(self.d, self.n)} generator images, got {len(self.images)}"
+                f"need {rank(self.d, self.n)} generator images, got {len(self.table)}"
             )
-        for img in self.images:
-            _same_params(self, img)
+
+    def _image(self, code: int) -> Word:
+        return Word(self.d, self.n, self.table[code - 1])
+
+    @property
+    def images(self) -> tuple[Word, ...]:
+        """Every generator image as a Word, indexed by basis code - 1."""
+        return tuple(map(self._image, range(1, len(self.table) + 1)))
 
     def image(self, i: int, j: int) -> Word:
         """Image of the basis generator x[i,j]."""
         if not (1 <= i <= self.n - 1 and 1 <= j <= self.d - 1):
             raise ValueError(f"x[{i},{j}] is not a basis generator for d={self.d}, n={self.n}")
-        return self.images[(i - 1) * (self.d - 1) + (j - 1)]
-
-    @cached_property
-    def _table(self) -> tuple[tuple[int, ...], ...]:
-        """Image codes indexed by basis code - 1, the `_substitute` table."""
-        return tuple(img.codes for img in self.images)
+        return self._image((i - 1) * (self.d - 1) + j)
 
 
 @lru_cache(maxsize=None)
 def identity_automorphism(d: int, n: int) -> FreeAutomorphism:
     check_params(d, n)
     check_table_size(d, n, rank(d, n))
-    return FreeAutomorphism(
-        d, n, tuple(Word(d, n, (c,)) for c in range(1, rank(d, n) + 1))
-    )
+    return FreeAutomorphism(d, n, tuple((c,) for c in range(1, rank(d, n) + 1)))
 
 
 def apply(f: FreeAutomorphism, w: Word) -> Word:
     """Apply f letter by letter; homomorphic by construction."""
     _same_params(f, w)
-    return Word(f.d, f.n, _substitute(f._table, w.codes))
+    return Word(f.d, f.n, _substitute(f.table, w.codes))
 
 
 def compose(f: FreeAutomorphism, g: FreeAutomorphism) -> FreeAutomorphism:
     """Composite that applies f first, then g."""
     _same_params(f, g)
-    table = g._table
-    return FreeAutomorphism(
-        f.d, f.n, tuple(Word(f.d, f.n, _substitute(table, img.codes)) for img in f.images)
-    )
+    table = g.table
+    return FreeAutomorphism(f.d, f.n, tuple(_substitute(table, row) for row in f.table))
 
 
 def equal(f: FreeAutomorphism, g: FreeAutomorphism) -> bool:
     """Exact equality: identical reduced images on every generator."""
     _same_params(f, g)
-    return f.images == g.images
+    return f.table == g.table
 
 
 def abelianize(f: FreeAutomorphism) -> tuple[tuple[int, ...], ...]:
     """Integer matrix with entry (s, t) the signed count of x_t in f(x_s)."""
     r = rank(f.d, f.n)
     rows = []
-    for img in f.images:
+    for image in f.table:
         row = [0] * r
-        for c in img.codes:
+        for c in image:
             row[abs(c) - 1] += 1 if c > 0 else -1
         rows.append(tuple(row))
     return tuple(rows)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from braidcover import braid, groupoid, pi1, words
+from braidcover.errors import BudgetExceededError
 from braidcover.braid import (
     BraidWord,
     CheckResult,
@@ -365,3 +366,40 @@ def test_run_suite_calls_the_checkers_through_the_module(monkeypatch):
     assert len(run_suite(3, 3, "lift")) == 2
     assert run_suite(3, 3).all_passed
     assert calls == [(3, 3), (3, 3)]
+
+
+@pytest.mark.parametrize("build", [
+    half_twist_action,
+    conjugate_twist_action,
+    lambda d, n, i: pi1.functor_to_automorphism(groupoid.lifted_half_twist(d, n, i)),
+], ids=["closed", "conjugate", "groupoid"])
+def test_generator_tables_are_bounded_by_their_letters(monkeypatch, build):
+    # at d = 6, n = 4, i = 2 the 15 generator images hold 85 letters; the row
+    # count (15), the edge count (30) and the longest row (14) are far below
+    # either budget
+    caches = (half_twist_action, conjugate_twist_action)
+    for cached in caches:
+        cached.cache_clear()
+    try:
+        monkeypatch.setattr(words, "LETTER_BUDGET", 84)
+        with pytest.raises(BudgetExceededError, match="the images for d=6, n=4 hold more "
+                                                       "letters than the letter budget of 84"):
+            build(6, 4, 2)
+        monkeypatch.setattr(words, "LETTER_BUDGET", 85)
+        assert sum(map(len, build(6, 4, 2).table)) == 85
+    finally:
+        for cached in caches:
+            cached.cache_clear()
+
+
+def test_an_oversized_closed_form_is_refused_after_o_budget_work(monkeypatch):
+    # d = 101, n = 2: the 100 rows pass the row count at a budget of 100, and
+    # row j holds 2j - 1 letters, so rows 1..10 fill the budget exactly and
+    # row 11 is the last one built
+    built = []
+    encode = words._encode
+    monkeypatch.setattr(words, "_encode", lambda d, n, letters: built.append(1) or encode(d, n, letters))
+    monkeypatch.setattr(words, "LETTER_BUDGET", 100)
+    with pytest.raises(BudgetExceededError):
+        half_twist_action(101, 2, 1)
+    assert len(built) == 11

@@ -1,5 +1,6 @@
 """Exit-status contract and byte-deterministic output of the command line."""
 
+import hashlib
 import shlex
 import subprocess
 import sys
@@ -177,10 +178,15 @@ def test_oversized_tables_exit_one_before_allocation(capsys, monkeypatch):
         assert (code, out) == (1, ""), argv
         assert "budget" in err and "d=7, n=9" in err, argv
     monkeypatch.setattr(words, "LETTER_BUDGET", 48)
-    assert run_cli(capsys, "aut", "--d", "7", "--n", "9", "--i", "1")[0] == 0
+    # the 48 generator images pass the row count, but hold 109 letters
+    code, out, err = run_cli(capsys, "aut", "--d", "7", "--n", "9", "--i", "1")
+    assert (code, out) == (1, "")
+    assert "the images for d=7, n=9 hold more letters than the letter budget of 48" in err
     assert run_cli(capsys, "lift", "--d", "7", "--n", "9", "--i", "1")[0] == 1
     monkeypatch.setattr(words, "LETTER_BUDGET", 70)
     assert run_cli(capsys, "lift", "--d", "7", "--n", "9", "--i", "1")[0] == 0
+    monkeypatch.setattr(words, "LETTER_BUDGET", 109)
+    assert run_cli(capsys, "aut", "--d", "7", "--n", "9", "--i", "1")[0] == 0
 
 
 def test_failed_conjugate_self_check_exits_one(capsys, monkeypatch):
@@ -252,3 +258,28 @@ def test_suite_choices_come_from_the_suite_registry(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--d", "2", "--n", "3", "--suite", "everything"])
     assert exc.value.code == 2
+
+
+# sha1 of stdout, pinned before tables were stored as code rows only; a
+# change to how maps are stored must not change one printed byte
+GOLDEN_STDOUT = [
+    (("lift", "--d", "5", "--n", "6", "--i", "3"),
+     "32a53242dd96a990d1384c5a15eb7f4ce46f9ad3", "e7847634f2152a83b1ca0eedde9989d317307c37"),
+    (("dehn", "--d", "4", "--n", "5", "--i", "2", "--j", "3"),
+     "b73814f915a8dde911183cc34b4411d4f25c7609", "241619749456b6bd9b582ab775012f1294b61649"),
+    (("aut", "--d", "5", "--n", "4", "--i", "2"),
+     "2812c0d3ff972f96461f3c7a768974d35b0cddc5", "c89fc6fe6166be3b6b6d3e2604a339b5e627650d"),
+    (("eval", "--d", "3", "--n", "3", "--word", "1 -2 1 -2 1 -2"),
+     "508df9ea000e05c0e8dc497883f4c247131ec713", "4fdd7e89f4cba1165a6150abc752963f26897123"),
+    (("verify", "--d", "4", "--n", "5", "--suite", "all"),
+     "ab6395c63111e100178d77ad761758524b2ae4b1", "ad99c6bb6ef26171a05cfb90702871469a226c67"),
+]
+
+
+@pytest.mark.parametrize("argv,text_sha1,structured_sha1", GOLDEN_STDOUT,
+                         ids=[argv[0] for argv, _, _ in GOLDEN_STDOUT])
+def test_stdout_matches_the_golden_digest(capsys, argv, text_sha1, structured_sha1):
+    for mode, want in (("text", text_sha1), ("structured", structured_sha1)):
+        code, out, err = run_cli(capsys, *argv, "--output-mode", mode)
+        assert (code, err) == (0, ""), (argv, mode)
+        assert hashlib.sha1(out.encode()).hexdigest() == want, (argv, mode)

@@ -337,10 +337,28 @@ def test_projection_intertwines_on_random_paths(dn, seed):
 
 def test_functor_constructor_requires_endpoint_consistency():
     good = identity_functor(3, 2)
-    broken = list(good.edge_images)
-    broken[0] = edge_path(3, 2, 1, 1)  # wrong endpoints for edge e[0,1]
+    broken = list(good.table)
+    broken[0] = edge_path(3, 2, 1, 1).steps  # wrong endpoints for edge e[0,1]
     with pytest.raises(EndpointMismatchError):
         GroupoidFunctor(3, 2, good.vertex_images, tuple(broken))
+
+
+@pytest.mark.parametrize(
+    "row,error,match",
+    [
+        # each row replaces the image of e[0,1], which must run v0[1] -> v[1]
+        ((1, 2), EndpointMismatchError, "begins at"),  # e[0,2] does not start at v[1]
+        ((1, 4, -4), ValueError, "not freely reduced"),  # ends at v[1], but backtracks
+        ((1, 10), EndpointMismatchError, "no edge has code 10"),  # (n+1)d = 9 edges
+        ((0,), EndpointMismatchError, "no edge has code 0"),
+        ((1, 4), EndpointMismatchError, "ends at"),  # chains, but ends at v[2]
+    ],
+)
+def test_functor_constructor_validates_every_row(row, error, match):
+    good = identity_functor(3, 2)
+    broken = (row,) + good.table[1:]
+    with pytest.raises(error, match=match):
+        GroupoidFunctor(3, 2, good.vertex_images, broken)
 
 
 def test_functor_constructor_requires_fixed_boundary():
@@ -350,7 +368,7 @@ def test_functor_constructor_requires_fixed_boundary():
     b = moved.index(left_boundary(2))
     moved[a], moved[b] = moved[b], moved[a]
     with pytest.raises(ValueError):
-        GroupoidFunctor(3, 2, tuple(moved), good.edge_images)
+        GroupoidFunctor(3, 2, tuple(moved), good.table)
 
 
 def test_endpoint_consistency_of_all_builtin_functors():
@@ -420,7 +438,7 @@ def test_derived_paths_and_functors_pass_the_public_constructors(dn, seed):
     rng = random.Random(seed)
     partials = _twist_product(rng, d, n, rng.randint(0, 4))
     for F in partials:
-        assert GroupoidFunctor(F.d, F.n, F.vertex_images, F.edge_images) == F
+        assert GroupoidFunctor(F.d, F.n, F.vertex_images, F.table) == F
         for image in F.edge_images:
             _assert_valid_path(image)
     F = partials[-1]
@@ -450,14 +468,22 @@ def test_lift_check_sees_a_wrong_sheet():
     d, n, i = 3, 4, 2
     lift = lifted_half_twist(d, n, i)
     code = groupoid._edge_code(d, n, 2, 1)
-    images = list(lift.edge_images)
-    assert images[code - 1] == p(d, n, "e[2,2]^-1")
-    images[code - 1] = p(d, n, "e[2,1]^-1")
-    mutant = GroupoidFunctor(d, n, lift.vertex_images, tuple(images))
+    table = list(lift.table)
+    assert lift.edge_images[code - 1] == p(d, n, "e[2,2]^-1")
+    table[code - 1] = p(d, n, "e[2,1]^-1").steps
+    mutant = GroupoidFunctor(d, n, lift.vertex_images, tuple(table))
     assert [project(a) for a in mutant.edge_images] == [project(a) for a in lift.edge_images]
     base = base_half_twist(n, i)
     assert groupoid._is_lift(lift, base)
     assert not groupoid._is_lift(mutant, base)
+
+
+def test_lift_check_sees_the_wrong_base_twist():
+    # every one of these commutes with the deck shift, so only the
+    # projection onto the base half twist can tell them apart
+    base = base_half_twist(4, 2)
+    for other in (lifted_half_twist(3, 4, 1), lifted_half_twist(3, 4, 3), identity_functor(3, 4)):
+        assert not groupoid._is_lift(other, base)
 
 
 @pytest.mark.parametrize("d", range(2, 7))

@@ -91,6 +91,14 @@ def test_base_path_range():
         base_path(3, 3, 3)
 
 
+@pytest.mark.parametrize("build", [base_path, lambda d, n, i: loop_x(d, n, i, 1),
+                                   lambda d, n, i: loop_y(d, n, i, 2)])
+@pytest.mark.parametrize("i", [0, 3])
+def test_loops_share_the_index_message(build, i):
+    with pytest.raises(ValueError, match=rf"^index i must be in 1\.\.2, got i={i}$"):
+        build(3, 3, i)
+
+
 def test_loop_x_example():
     assert loop_x(3, 2, 1, 1) == parse_path(3, 2, "e[0,1]*e[1,1]*e[1,2]^-1*e[0,1]^-1")
 
