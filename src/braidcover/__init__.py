@@ -44,16 +44,7 @@ from .groupoid import (
     project,
     verify_lift,
 )
-from .pi1 import (
-    SpanningTree,
-    base_path,
-    functor_to_automorphism,
-    loop_to_word,
-    loop_x,
-    loop_y,
-    spanning_tree,
-    word_to_loop,
-)
+from .pi1 import functor_to_automorphism, loop_to_word, word_to_loop
 from .braid import (
     BraidWord,
     CheckResult,

@@ -37,7 +37,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import EndpointMismatchError, SelfCheckError
 from .words import _format_codes, _parse_tokens, _reduce_onto, _same_params, _substitute
-from .words import check_index, check_params, check_table_size
+from .words import _trusted_init, check_index, check_params, check_table_size
 
 
 class Vertex(NamedTuple):
@@ -152,18 +152,6 @@ def _walk(d: int, n: int, start: Vertex, steps: tuple[int, ...]) -> Vertex:
         at = end
         prev = step
     return at
-
-
-def _trusted_init(cls, *fields):
-    """Build a path or functor from its field values without validation.
-
-    Only for values that are valid by construction because they are derived
-    from validated paths and functors.
-    """
-    self = object.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, fields):
-        object.__setattr__(self, name, value)
-    return self
 
 
 @dataclass(frozen=True)

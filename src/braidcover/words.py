@@ -11,8 +11,11 @@ Internally a letter is a signed integer code: x[i,j] has code
 (i-1)*(d-1) + j, its inverse the negated code.  An automorphism is stored
 only as its substitution table, the image codes of every basis generator;
 `apply`, `compose`, `equal` and `abelianize` read that table, and the Word
-views (`images`, `image(i, j)`) are built on demand.  All values are
-immutable and every operation is pure.
+views (`images`, `image(i, j)`) are built on demand.  The public
+constructor checks that every code names a basis generator; values derived
+from validated ones (composites, the identity, the three routes' tables) are
+built through the private `_trusted` constructor without a second check.
+All values are immutable and every operation is pure.
 """
 
 from __future__ import annotations
@@ -244,6 +247,19 @@ def conjugate(x: Word, y: Word) -> Word:
     return multiply(multiply(invert(y), x), y)
 
 
+def _trusted_init(cls, *fields):
+    """Build an automorphism, path or functor from its field values without
+    validation.
+
+    Only for values that are valid by construction because they are derived
+    from validated ones.
+    """
+    self = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, fields):
+        object.__setattr__(self, name, value)
+    return self
+
+
 @dataclass(frozen=True)
 class FreeAutomorphism:
     """Endomorphism given by its substitution table: row c - 1 holds the
@@ -259,10 +275,17 @@ class FreeAutomorphism:
     table: tuple[tuple[int, ...], ...]  # indexed by basis code - 1, i.e. ordered by (i, j)
 
     def __post_init__(self) -> None:
-        if len(self.table) != rank(self.d, self.n):
-            raise ValueError(
-                f"need {rank(self.d, self.n)} generator images, got {len(self.table)}"
-            )
+        size = rank(self.d, self.n)
+        if len(self.table) != size:
+            raise ValueError(f"need {size} generator images, got {len(self.table)}")
+        for row in self.table:
+            for c in row:
+                if not 0 < abs(c) <= size:
+                    raise ValueError(
+                        f"no basis generator has code {abs(c)} for d={self.d}, n={self.n}"
+                    )
+
+    _trusted = classmethod(_trusted_init)
 
     def _image(self, code: int) -> Word:
         return Word(self.d, self.n, self.table[code - 1])
@@ -283,7 +306,7 @@ class FreeAutomorphism:
 def identity_automorphism(d: int, n: int) -> FreeAutomorphism:
     check_params(d, n)
     check_table_size(d, n, rank(d, n))
-    return FreeAutomorphism(d, n, tuple((c,) for c in range(1, rank(d, n) + 1)))
+    return FreeAutomorphism._trusted(d, n, tuple((c,) for c in range(1, rank(d, n) + 1)))
 
 
 def apply(f: FreeAutomorphism, w: Word) -> Word:
@@ -296,7 +319,7 @@ def compose(f: FreeAutomorphism, g: FreeAutomorphism) -> FreeAutomorphism:
     """Composite that applies f first, then g."""
     _same_params(f, g)
     table = g.table
-    return FreeAutomorphism(f.d, f.n, tuple(_substitute(table, row) for row in f.table))
+    return FreeAutomorphism._trusted(f.d, f.n, tuple(_substitute(table, row) for row in f.table))
 
 
 def equal(f: FreeAutomorphism, g: FreeAutomorphism) -> bool:

@@ -214,7 +214,7 @@ def test_each_twist_fixes_its_own_core_loop():
             for i in range(1, n):
                 for j in range(1, d + 1):
                     f = pi1.functor_to_automorphism(groupoid.dehn_twist(d, n, i, j))
-                    core = pi1.loop_to_word(pi1.loop_x(d, n, i, j))
+                    core = words.generator(d, n, i, j)
                     assert words.apply(f, core) == core
 
 
@@ -390,6 +390,22 @@ def test_generator_tables_are_bounded_by_their_letters(monkeypatch, build):
     finally:
         for cached in caches:
             cached.cache_clear()
+
+
+def test_the_dehn_check_refuses_an_oversized_closed_form_before_any_twist(monkeypatch):
+    # at d = 30, n = 2 the closed form's 29 rows hold 841 letters; the d - 1
+    # Dehn twists must not be built or composed before its guard refuses it
+    def never(*args):
+        raise AssertionError("dehn_twist_product was called")
+
+    monkeypatch.setattr(braid, "dehn_twist_product", never)
+    half_twist_action.cache_clear()
+    try:
+        monkeypatch.setattr(words, "LETTER_BUDGET", 100)
+        with pytest.raises(BudgetExceededError):
+            check_dehn_factorization(30, 2)
+    finally:
+        half_twist_action.cache_clear()
 
 
 def test_an_oversized_closed_form_is_refused_after_o_budget_work(monkeypatch):

@@ -4,43 +4,69 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from braidcover import braid, groupoid, words
+from braidcover import braid, groupoid, pi1, words
 from braidcover.errors import BudgetExceededError
 from braidcover.groupoid import (
-    Edge,
+    EdgePath,
     apply_functor,
     compose_functors,
     dehn_twist,
+    edge_path,
     empty_path,
     identity_functor,
     interior,
     lifted_half_twist,
+    lifted_half_twist_inverse,
     parse_path,
     path_compose,
     path_invert,
 )
 from braidcover.pi1 import (
-    base_path,
+    _edge_words,
+    _x_loops,
     basepoint,
     functor_to_automorphism,
     loop_to_word,
-    loop_x,
-    loop_y,
-    spanning_tree,
     word_to_loop,
 )
-from braidcover.words import empty_word, equal, identity_automorphism, multiply, parse_word
+from braidcover.words import (
+    Word,
+    empty_word,
+    equal,
+    generator,
+    identity_automorphism,
+    multiply,
+    parse_word,
+)
 
 import strategies
+
+
+def _tree_path(i):
+    """Steps of the tree path p_i = e[0,1]*...*e[i-1,1] to interior vertex i."""
+    return [(level, 1, 1) for level in range(i)]
+
+
+def _geometric_loop(d, n, i, a, b):
+    """The basepoint loop p_i * e[i,a] * e[i,b]^-1 * p_i^-1, built step by
+    step through `groupoid.path`, independently of the package's tables."""
+    tree = _tree_path(i)
+    steps = tree + [(i, a, 1), (i, b, -1)] + [(level, 1, -1) for level, _, _ in reversed(tree)]
+    return groupoid.path(d, n, steps, start=basepoint(d, n))
+
+
+def _x_loop(d, n, i, j):
+    return word_to_loop(generator(d, n, i, j))
 
 
 # -- spanning tree ---------------------------------------------------------------
 
 @pytest.mark.parametrize("d,n", [(2, 2), (3, 4), (5, 3), (6, 7)])
 def test_spanning_tree_spans_without_cycles(d, n):
-    tree = spanning_tree(d, n)
+    # the tree edges are the codes whose retraction is the empty word
+    tree = [code for code, word in enumerate(_edge_words(d, n), start=1) if not word]
     verts = set(groupoid.vertices(d, n))
-    assert len(tree.edges) == len(verts) - 1
+    assert len(tree) == len(verts) - 1
     # grow components; a spanning tree with |V|-1 edges has none to spare
     parent = {v: v for v in verts}
 
@@ -50,8 +76,7 @@ def test_spanning_tree_spans_without_cycles(d, n):
             v = parent[v]
         return v
 
-    for edge in tree.edges:
-        code = groupoid._edge_code(d, n, edge.level, edge.sheet)
+    for code in tree:
         a = find(groupoid._source(d, n, code))
         b = find(groupoid._target(d, n, code))
         assert a != b, "tree edge closes a cycle"
@@ -61,51 +86,58 @@ def test_spanning_tree_spans_without_cycles(d, n):
 
 @pytest.mark.parametrize("d,n", [(2, 2), (3, 4), (5, 3), (6, 7)])
 def test_non_tree_edges_match_the_rank(d, n):
-    tree = spanning_tree(d, n)
-    assert len(tree.non_tree_edges) == words.rank(d, n)
-    assert tree.non_tree_edges == tuple(
-        Edge(i, j) for i in range(1, n) for j in range(2, d + 1)
-    )
-    for edge in tree.non_tree_edges:
-        assert not tree.contains(edge)
+    non_tree = [code for code, word in enumerate(_edge_words(d, n), start=1) if word]
+    assert len(non_tree) == words.rank(d, n)
+    assert non_tree == [
+        groupoid._edge_code(d, n, i, j) for i in range(1, n) for j in range(2, d + 1)
+    ]
+
+
+def test_edge_words_hold_the_inverse_prefixes():
+    # a middle edge e[i,j] retracts to x[i,j-1]^-1*...*x[i,1]^-1
+    d, n = 4, 3
+    for code, word in enumerate(_edge_words(d, n), start=1):
+        level, below = divmod(code - 1, d)
+        letters = [(level, t, -1) for t in range(below, 0, -1)] if 0 < level < n else []
+        assert tuple(word) == words.word(d, n, letters).codes
 
 
 # -- defining paths and loops -------------------------------------------------------
 
 def test_base_path_examples():
-    assert base_path(3, 3, 1) == parse_path(3, 3, "e[0,1]")
-    assert base_path(3, 3, 2) == parse_path(3, 3, "e[0,1]*e[1,1]")
+    # the x-loops run out along the base paths p_1 = e[0,1], p_2 = e[0,1]*e[1,1]
+    assert _x_loop(3, 3, 1, 2) == parse_path(3, 3, "e[0,1]*e[1,2]*e[1,3]^-1*e[0,1]^-1")
+    assert _x_loop(3, 3, 2, 1) == parse_path(
+        3, 3, "e[0,1]*e[1,1]*e[2,1]*e[2,2]^-1*e[1,1]^-1*e[0,1]^-1"
+    )
 
 
 @pytest.mark.parametrize("d,n", [(3, 4), (4, 3)])
 def test_base_path_ends_at_its_interior_vertex(d, n):
     for i in range(1, n):
-        q = base_path(d, n, i)
-        assert q.start == basepoint(d, n)
-        assert q.end == interior(i)
-        assert len(q) == i
+        tree = groupoid.path(d, n, _tree_path(i))
+        assert tree.start == basepoint(d, n)
+        assert tree.end == interior(i)
+        assert len(tree) == i
+        for j in range(1, d):
+            assert _x_loops(d, n)[(i - 1) * (d - 1) + j - 1][:i] == tree.steps
 
 
 def test_base_path_range():
-    with pytest.raises(ValueError):
-        base_path(3, 3, 3)
-
-
-@pytest.mark.parametrize("build", [base_path, lambda d, n, i: loop_x(d, n, i, 1),
-                                   lambda d, n, i: loop_y(d, n, i, 2)])
-@pytest.mark.parametrize("i", [0, 3])
-def test_loops_share_the_index_message(build, i):
-    with pytest.raises(ValueError, match=rf"^index i must be in 1\.\.2, got i={i}$"):
-        build(3, 3, i)
+    # the x-loops use the base paths p_1..p_{n-1} and no other
+    d, n = 4, 5
+    used = {row[:(len(row) - 2) // 2] for row in _x_loops(d, n)}
+    assert used == {groupoid.path(d, n, _tree_path(i)).steps for i in range(1, n)}
 
 
 def test_loop_x_example():
-    assert loop_x(3, 2, 1, 1) == parse_path(3, 2, "e[0,1]*e[1,1]*e[1,2]^-1*e[0,1]^-1")
+    assert _x_loop(3, 2, 1, 1) == parse_path(3, 2, "e[0,1]*e[1,1]*e[1,2]^-1*e[0,1]^-1")
+    assert _x_loop(3, 2, 1, 1) == _geometric_loop(3, 2, 1, 1, 2)
 
 
 def test_loop_y_at_sheet_one_is_empty():
     for i in (1, 2):
-        assert loop_y(3, 3, i, 1) == empty_path(3, 3, basepoint(3, 3))
+        assert _geometric_loop(3, 3, i, 1, 1) == empty_path(3, 3, basepoint(3, 3))
 
 
 @pytest.mark.parametrize("d,n", [(2, 3), (3, 2), (4, 3), (5, 4)])
@@ -113,32 +145,40 @@ def test_loop_x_at_sheet_d_is_the_inverse_product(d, n):
     for i in range(1, n):
         product = empty_path(d, n, basepoint(d, n))
         for j in range(1, d):
-            product = path_compose(product, loop_x(d, n, i, j))
-        assert loop_x(d, n, i, d) == path_invert(product)
+            product = path_compose(product, _x_loop(d, n, i, j))
+        # x[i,d] = p_i * e[i,d] * e[i,1]^-1 * p_i^-1, the sheet d+1 wrapping to 1
+        assert _geometric_loop(d, n, i, d, d + 1) == path_invert(product)
+        assert _x_loop(d, n, i, d) == path_invert(product)
 
 
 @pytest.mark.parametrize("d,n", [(2, 2), (3, 3), (5, 4)])
 def test_loops_are_closed_and_reduced(d, n):
+    base = basepoint(d, n)
+    for steps in _x_loops(d, n):
+        assert EdgePath(d, n, base, steps).end == base
     for i in range(1, n):
         for j in range(1, d + 1):
-            loop = loop_x(d, n, i, j)
-            assert loop.start == loop.end == basepoint(d, n)
+            loop = _x_loop(d, n, i, j)
+            assert loop.start == loop.end == base
+            assert EdgePath(d, n, base, loop.steps) == loop
 
 
 # -- loop -> word ----------------------------------------------------------------------
 
 def test_basis_loops_round_trip_to_single_letters():
-    assert loop_to_word(loop_x(3, 3, 2, 1)) == parse_word(3, 3, "x[2,1]")
-    for (i, j) in words.symbols(4, 4):
-        assert loop_to_word(loop_x(4, 4, i, j)) == parse_word(4, 4, f"x[{i},{j}]")
+    assert loop_to_word(_geometric_loop(3, 3, 2, 1, 2)) == parse_word(3, 3, "x[2,1]")
+    base = basepoint(4, 4)
+    for (i, j), steps in zip(words.symbols(4, 4), _x_loops(4, 4)):
+        assert loop_to_word(EdgePath(4, 4, base, steps)) == parse_word(4, 4, f"x[{i},{j}]")
 
 
 @pytest.mark.parametrize("d,n", [(3, 3), (4, 2), (5, 4)])
 def test_prefix_loops_rewrite_to_prefix_products(d, n):
+    # y[i,j] = p_i * e[i,1] * e[i,j]^-1 * p_i^-1 = x[i,1]*...*x[i,j-1]
     for i in range(1, n):
         for j in range(1, d + 1):
             expected = words.word(d, n, [(i, t, 1) for t in range(1, j)])
-            assert loop_to_word(loop_y(d, n, i, j)) == expected
+            assert loop_to_word(_geometric_loop(d, n, i, 1, j)) == expected
 
 
 def test_empty_loop_rewrites_to_the_empty_word():
@@ -147,7 +187,7 @@ def test_empty_loop_rewrites_to_the_empty_word():
 
 def test_loop_to_word_rejects_open_paths():
     with pytest.raises(ValueError):
-        loop_to_word(base_path(3, 3, 1))
+        loop_to_word(edge_path(3, 3, 0, 1))
 
 
 def test_loop_to_word_respects_the_letter_budget(monkeypatch):
@@ -158,7 +198,7 @@ def test_loop_to_word_respects_the_letter_budget(monkeypatch):
 
 
 def test_word_to_loop_examples():
-    assert word_to_loop(parse_word(3, 2, "x[1,1]")) == loop_x(3, 2, 1, 1)
+    assert word_to_loop(parse_word(3, 2, "x[1,1]")) == _geometric_loop(3, 2, 1, 1, 2)
     assert word_to_loop(empty_word(3, 2)) == empty_path(3, 2, basepoint(3, 2))
 
 
@@ -180,7 +220,7 @@ def test_loop_to_word_is_a_homomorphism(data):
 def test_basis_loops_are_nontrivial(d, n):
     for i in range(1, n):
         for j in range(1, d + 1):
-            assert len(loop_to_word(loop_x(d, n, i, j))) > 0
+            assert len(loop_to_word(_geometric_loop(d, n, i, j, j + 1))) > 0
 
 
 # -- functors to automorphisms ------------------------------------------------------------
@@ -217,8 +257,51 @@ def test_functor_to_automorphism_is_functorial(dn, data):
     assert equal(lhs, rhs)
 
 
+def _functors(d, n):
+    for i in range(1, n):
+        yield lifted_half_twist(d, n, i)
+        yield lifted_half_twist_inverse(d, n, i)
+        for j in range(1, d + 1):
+            yield dehn_twist(d, n, i, j)
+
+
 def test_functor_action_on_basis_loops_matches_word_images():
-    F = dehn_twist(3, 3, 1, 2)
-    f = functor_to_automorphism(F)
-    for (i, j) in words.symbols(3, 3):
-        assert loop_to_word(apply_functor(F, loop_x(3, 3, i, j))) == f.image(i, j)
+    # the edge-image route against the loop route: lift each generator to its
+    # x-loop, push the loop through F, and rewrite the image as a word
+    for d in range(2, 6):
+        for n in range(2, 6):
+            for F in _functors(d, n):
+                table = functor_to_automorphism(F).table
+                for code, row in enumerate(table, start=1):
+                    x = Word(d, n, (code,))
+                    assert loop_to_word(apply_functor(F, word_to_loop(x))).codes == row
+
+
+def test_a_long_strand_count_translates_in_linear_time():
+    d, n = 2, 2000
+    f = words.compose(braid.half_twist_action(d, n, 1), braid.generator_action(d, n, -1))
+    assert equal(f, identity_automorphism(d, n))
+
+
+def test_an_oversized_table_is_refused_after_o_budget_work(monkeypatch):
+    # d = 101, n = 2: row j of the lift's action holds 2j - 1 letters, so
+    # rows 1..10 fill a budget of 100 and row 11 is the last one built; it
+    # takes one edge word per row, plus W(e[0,1]) and W(e[1,1])
+    F = lifted_half_twist(101, 2, 1)
+    substituted = []
+    substitute = pi1._substitute
+    monkeypatch.setattr(pi1, "_substitute", lambda *args: substituted.append(1) or substitute(*args))
+    monkeypatch.setattr(words, "LETTER_BUDGET", 100)
+    with pytest.raises(BudgetExceededError):
+        functor_to_automorphism(F)
+    assert len(substituted) == 13
+
+
+def test_a_quadratic_table_is_refused_by_the_letter_budget():
+    # at n = 2 the lift's rows hold about d^2 letters, 4*10^8 at d = 20000
+    try:
+        with pytest.raises(BudgetExceededError):
+            functor_to_automorphism(lifted_half_twist(20000, 2, 1))
+    finally:
+        lifted_half_twist.cache_clear()
+        identity_functor.cache_clear()

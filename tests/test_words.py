@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from braidcover import braid, words
+from braidcover import braid, groupoid, pi1, words
 from braidcover.errors import BudgetExceededError, ParameterMismatchError
 from braidcover.words import (
     FreeAutomorphism,
@@ -285,6 +285,29 @@ def test_image_lookup_rejects_out_of_basis_symbols():
         f.image(1, 3)
     with pytest.raises(ValueError):
         f.image(3, 1)
+
+
+@pytest.mark.parametrize("code", [0, 3, -3])
+def test_constructor_rejects_codes_outside_the_basis(code):
+    # rank 2 at d = 3, n = 2, so every code lies in +-1..2; code 0 would read
+    # the last row and code 3 past the end
+    with pytest.raises(ValueError, match=rf"^no basis generator has code {abs(code)} for d=3, n=2$"):
+        FreeAutomorphism(3, 2, ((code,), (1, -2)))
+    assert FreeAutomorphism(3, 2, ((-2,), (1, -2))).table == ((-2,), (1, -2))
+
+
+def test_derived_automorphisms_skip_the_code_check(monkeypatch):
+    f = braid.half_twist_action(3, 3, 1)
+    F = groupoid.lifted_half_twist(3, 3, 2)
+    checked = []
+    monkeypatch.setattr(FreeAutomorphism, "__post_init__", lambda self: checked.append(self))
+    compose(f, f)
+    identity_automorphism.__wrapped__(3, 3)
+    braid.half_twist_action.__wrapped__(3, 3, 2)
+    pi1.functor_to_automorphism(F)
+    assert checked == []
+    FreeAutomorphism(3, 3, f.table)
+    assert len(checked) == 1
 
 
 def test_word_dataclass_is_hashable_and_immutable():
