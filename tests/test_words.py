@@ -325,8 +325,6 @@ def test_format_word_spells_two_digit_indices():
 
 
 def test_check_index_is_shared_by_both_levels():
-    from braidcover import groupoid
-
     with pytest.raises(ValueError, match=r"^index i must be in 1\.\.2, got i=3$"):
         words.check_index(3, 3, 3, 4)
     for build in (
