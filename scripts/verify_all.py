@@ -1,32 +1,16 @@
 #!/usr/bin/env python3
 """Run every verification sweep at desk scale and print a summary.
 
-This is the batch counterpart of `braidcover verify`: it walks the same
-parameter grids as the acceptance suite, times each family of checks, and
-exits nonzero if anything fails.
+This is the batch counterpart of `braidcover verify`: it runs each suite
+over its grid in `braid.DESK_GRIDS` (the grids the acceptance suite walks),
+times each suite, and exits nonzero if anything fails.
 """
 
 import sys
 import time
 
-from braidcover.braid import (
-    check_braid_relations,
-    check_cross_validation,
-    check_dehn_factorization,
-    check_lift_projection,
-)
+from braidcover.braid import DESK_GRIDS, run_suite
 from braidcover.surface import format_table, table
-
-SWEEPS = [
-    ("braid relations (functor + automorphism)", check_braid_relations,
-     [(d, n) for d in range(2, 7) for n in range(3, 8)]),
-    ("Dehn-twist factorization", check_dehn_factorization,
-     [(d, n) for d in range(2, 6) for n in range(2, 6)]),
-    ("lift/projection commutativity", check_lift_projection,
-     [(d, n) for d in range(2, 7) for n in range(2, 8)]),
-    ("triple cross-validation", check_cross_validation,
-     [(d, n) for d in range(2, 7) for n in range(2, 7)]),
-]
 
 
 def main() -> int:
@@ -37,11 +21,11 @@ def main() -> int:
         print()
 
     failures = []
-    for label, runner, grid in SWEEPS:
+    for suite, grid in DESK_GRIDS:
         start = time.perf_counter()
         total = 0
         for d, n in grid:
-            report = runner(d, n)
+            report = run_suite(d, n, suite)
             total += len(report)
             failures.extend(
                 f"d={d} n={n} {check.name}: {check.detail}"
@@ -49,7 +33,7 @@ def main() -> int:
                 if not check.passed
             )
         elapsed = time.perf_counter() - start
-        print(f"{label}: {total} checks over {len(grid)} parameter pairs "
+        print(f"{suite}: {total} checks over {len(grid)} parameter pairs "
               f"in {elapsed:.2f}s")
 
     if failures:

@@ -222,8 +222,6 @@ def _compare_tables(name: str, f, g, identity, spell) -> CheckResult:
 
 
 def _compare_functors(name: str, F, G) -> CheckResult:
-    if F.vertex_images != G.vertex_images:
-        return CheckResult(name, False, "vertex maps differ")
     return _compare_tables(name, F, G, groupoid.identity_functor, groupoid.format_path)
 
 
@@ -303,6 +301,15 @@ SUITES = {
     "lift": check_lift_projection,
     "cross": check_cross_validation,
 }
+
+# (suite, (d, n) pairs) of the 645-check desk sweep, in SUITES order; the
+# benchmark's verify-desk workload keeps a copy that a test pins to this one
+DESK_GRIDS = (
+    ("relations", tuple((d, n) for d in range(2, 7) for n in range(3, 8))),
+    ("dehn", tuple((d, n) for d in range(2, 6) for n in range(2, 6))),
+    ("lift", tuple((d, n) for d in range(2, 7) for n in range(2, 8))),
+    ("cross", tuple((d, n) for d in range(2, 7) for n in range(2, 7))),
+)
 
 
 def run_suite(d: int, n: int, suite: str = "all") -> Report:

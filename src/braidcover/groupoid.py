@@ -10,29 +10,31 @@ e[i,j] has code i*d + j, a backward traversal the negated code.  A path is
 thus a free-group word over edge codes that carries its endpoints, and it is
 reduced and mapped by the same kernels as words (`words._reduce_onto`,
 `words._substitute`).  A self-functor of the free groupoid on this graph is
-stored as a vertex permutation plus its substitution table: row c - 1 holds
-the step codes of the image of edge c, a path that starts at the image of
-the edge's source.  `edge_images` and `edge(i, j)` build those paths on
-demand.  The base disk is the same graph at d = 1, a single edge per level;
-`project` collapses sheets onto it.  Paths and functors accept any d >= 1,
-while the twist lifts need a genuine cover, d >= 2.  Everything is
-immutable and pure.
+stored as its substitution table alone: row c - 1 holds the step codes of
+the image of edge c, a path that starts at the image of the edge's source.
+Every edge joins distinct vertices, so each row is nonempty and the vertex
+map is read off the rows: v[i] goes where the image of e[i,1] begins, and
+boundary vertices stay fixed.  `edge_images` and `edge(i, j)` build the
+image paths on demand.  The base disk is the same graph at d = 1, a single
+edge per level; `project` collapses sheets onto it.  Paths and functors
+accept any d >= 1, while the twist lifts need a genuine cover, d >= 2.
+Everything is immutable and pure.
 
 Validation happens at the boundary.  The public constructors `EdgePath(...)`
 and `GroupoidFunctor(...)`, and with them `path`, `edge_path`, `empty_path`,
 `parse_path` and every hand-written twist table, walk each step sequence
-(`_walk`) to check endpoints and free reduction, and check the fixed
-boundary.  Values derived from validated ones -- images, composites,
-inverses and projections -- are valid by construction and are built through
-the private `_trusted` constructors without a second check.  A graph whose
-edge table would exceed `words.LETTER_BUDGET` is refused before anything is
-allocated for it.
+(`_walk`) to check endpoints and free reduction; a functor's vertex map
+must also permute the interior vertices.  Values derived from validated
+ones -- images, composites, inverses and projections -- are valid by
+construction and are built through the private `_trusted` constructors
+without a second check.  A graph whose edge table would exceed
+`words.LETTER_BUDGET` is refused before anything is allocated for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .errors import EndpointMismatchError, SelfCheckError
@@ -71,19 +73,15 @@ def vertices(d: int, n: int) -> tuple[Vertex, ...]:
     )
 
 
-def _vertex_index(d: int, n: int, v: Vertex) -> int:
+def _check_vertex(d: int, n: int, v: Vertex) -> None:
     level, sheet = v
     if sheet == 0:
         if not 1 <= level <= n:
             raise ValueError(f"no interior vertex at level {level} for n={n}")
-        return level - 1
-    if not 1 <= sheet <= d:
+    elif not 1 <= sheet <= d:
         raise ValueError(f"boundary sheet must be in 1..{d}, got {sheet}")
-    if level == 0:
-        return n + sheet - 1
-    if level == n + 1:
-        return n + d + sheet - 1
-    raise ValueError(f"no boundary vertex at level {level} for n={n}")
+    elif level not in (0, n + 1):
+        raise ValueError(f"no boundary vertex at level {level} for n={n}")
 
 
 def _wrap(d: int, j: int) -> int:
@@ -165,7 +163,7 @@ class EdgePath:
 
     def __post_init__(self) -> None:
         check_params(self.d, self.n, 1)
-        _vertex_index(self.d, self.n, self.start)  # validates the vertex
+        _check_vertex(self.d, self.n, self.start)
         _walk(self.d, self.n, self.start, self.steps)
 
     _trusted = classmethod(_trusted_init)
@@ -228,34 +226,33 @@ def edge_path(d: int, n: int, i: int, j: int, direction: int = 1) -> EdgePath:
 
 @dataclass(frozen=True)
 class GroupoidFunctor:
-    """Self-functor: vertex permutation plus edge substitution table.
+    """Self-functor given by its edge substitution table alone.
 
-    Construction walks each row from the image of its edge's source and
-    checks that it is a reduced path ending at the image of the edge's
-    target, and that all boundary vertices stay fixed (the basepoint lives
-    on the left boundary).
+    Construction checks that the vertex map read off the rows permutes the
+    interior vertices, then walks each row from the image of its edge's
+    source and checks that it is a reduced path ending at the image of the
+    edge's target; so a boundary edge's row begins at that boundary vertex.
     """
 
     d: int
     n: int
-    vertex_images: tuple[Vertex, ...]  # indexed like vertices(d, n)
     table: tuple[tuple[int, ...], ...]  # indexed by edge code - 1
 
     def __post_init__(self) -> None:
-        d, n = self.d, self.n
-        verts = vertices(d, n)
-        if len(self.vertex_images) != len(verts):
-            raise ValueError("vertex map must cover every vertex")
-        if sorted(self.vertex_images) != sorted(verts):
-            raise ValueError("vertex map is not a permutation")
-        image_of = self._vertex_map
-        for v in verts:
-            if v.sheet != 0 and image_of[v] != v:
-                raise ValueError(f"boundary vertex {v} must stay fixed")
+        d, n, table = self.d, self.n, self.table
+        check_params(d, n, 1)
         ends = _ends(d, n)
-        if len(self.table) != len(ends):
+        if len(table) != len(ends):
             raise ValueError("edge map must cover every edge")
-        for code, ((source, target), row) in enumerate(zip(ends, self.table), start=1):
+        for code in range(d + 1, len(ends) + 1, d):  # e[i,1]; its first step fixes F(v[i])
+            if not table[code - 1] or not 0 < abs(table[code - 1][0]) <= len(ends):
+                raise EndpointMismatchError(f"image of edge code {code} must begin with an edge")
+        verts = vertices(d, n)
+        moved = [self.vertex(v) for v in verts[:n]]
+        if sorted(moved) != list(verts[:n]):
+            raise EndpointMismatchError("e[i,1] images must begin at distinct interior vertices")
+        image_of = dict(zip(verts, (*moved, *verts[n:])))
+        for code, ((source, target), row) in enumerate(zip(ends, table), start=1):
             end = _walk(d, n, image_of[source], row)
             if end != image_of[target]:
                 raise EndpointMismatchError(
@@ -265,11 +262,15 @@ class GroupoidFunctor:
     _trusted = classmethod(_trusted_init)
 
     def vertex(self, v: Vertex) -> Vertex:
-        return self.vertex_images[_vertex_index(self.d, self.n, v)]
+        """Image of v: v on the boundary; for v[i], where the image of e[i,1] begins."""
+        _check_vertex(self.d, self.n, v)
+        if v.sheet:
+            return v
+        return _step_ends(self.d, self.n, self.table[v.level * self.d][0])[0]
 
     def _image(self, code: int) -> EdgePath:
-        source = _ends(self.d, self.n)[code - 1][0]
-        return EdgePath._trusted(self.d, self.n, self._vertex_map[source], self.table[code - 1])
+        row = self.table[code - 1]
+        return EdgePath._trusted(self.d, self.n, _step_ends(self.d, self.n, row[0])[0], row)
 
     @property
     def edge_images(self) -> tuple[EdgePath, ...]:
@@ -279,11 +280,6 @@ class GroupoidFunctor:
     def edge(self, i: int, j: int) -> EdgePath:
         """Image of the edge e[i,j] (sheet wrapped mod d)."""
         return self._image(_edge_code(self.d, self.n, i, j))
-
-    @cached_property
-    def _vertex_map(self) -> dict[Vertex, Vertex]:
-        """Vertex -> image, for lookups that need no validation of the vertex."""
-        return dict(zip(vertices(self.d, self.n), self.vertex_images))
 
 
 def apply_functor(F: GroupoidFunctor, p: EdgePath) -> EdgePath:
@@ -295,37 +291,29 @@ def apply_functor(F: GroupoidFunctor, p: EdgePath) -> EdgePath:
 def compose_functors(F: GroupoidFunctor, G: GroupoidFunctor) -> GroupoidFunctor:
     """Composite that applies F first, then G."""
     _same_params(F, G)
-    image_of, table = G._vertex_map, G.table
-    return GroupoidFunctor._trusted(
-        F.d, F.n, tuple(image_of[v] for v in F.vertex_images),
-        tuple(_substitute(table, row) for row in F.table),
-    )
+    table = G.table
+    return GroupoidFunctor._trusted(F.d, F.n, tuple(_substitute(table, row) for row in F.table))
 
 
 @lru_cache(maxsize=None)
 def identity_functor(d: int, n: int) -> GroupoidFunctor:
     check_params(d, n, 1)
     check_table_size(d, n, (n + 1) * d)
-    return GroupoidFunctor._trusted(
-        d, n, vertices(d, n), tuple((code,) for code in range(1, (n + 1) * d + 1))
-    )
+    return GroupoidFunctor._trusted(d, n, tuple((code,) for code in range(1, (n + 1) * d + 1)))
 
 
-def _functor(d: int, n: int, swap: tuple[int, int], images: dict[Edge, list[tuple[int, int, int]]]) -> GroupoidFunctor:
-    """Functor that swaps two interior vertices and overrides some edges.
+def _functor(d: int, n: int, images: dict[Edge, list[tuple[int, int, int]]]) -> GroupoidFunctor:
+    """Functor that overrides some edges of the identity.
 
     The overrides are (level, sheet, direction) steps; the identity's rows
     are shared, and the result goes through the validating constructor.
     """
-    vertex_images = list(vertices(d, n))
-    a, b = swap
-    vertex_images[a - 1], vertex_images[b - 1] = vertex_images[b - 1], vertex_images[a - 1]
     table = list(identity_functor(d, n).table)
     for (level, sheet), steps in images.items():
         table[_edge_code(d, n, level, sheet) - 1] = tuple(
             direction * _edge_code(d, n, i, j) for (i, j, direction) in steps
         )
-    return GroupoidFunctor(d, n, tuple(vertex_images), tuple(table))
+    return GroupoidFunctor(d, n, tuple(table))
 
 
 @lru_cache(maxsize=None)
@@ -343,7 +331,7 @@ def lifted_half_twist(d: int, n: int, i: int) -> GroupoidFunctor:
         images[Edge(i - 1, j)] = [(i - 1, j, 1), (i, _wrap(d, j + 1), 1)]
         images[Edge(i, j)] = [(i, _wrap(d, j + 1), -1)]
         images[Edge(i + 1, j)] = [(i, j, 1), (i + 1, j, 1)]
-    return _functor(d, n, (i, i + 1), images)
+    return _functor(d, n, images)
 
 
 @lru_cache(maxsize=None)
@@ -362,7 +350,7 @@ def lifted_half_twist_inverse(d: int, n: int, i: int) -> GroupoidFunctor:
         images[Edge(i - 1, j)] = [(i - 1, j, 1), (i, j, 1)]
         images[Edge(i, j)] = [(i, _wrap(d, j - 1), -1)]
         images[Edge(i + 1, j)] = [(i, _wrap(d, j - 1), 1), (i + 1, j, 1)]
-    inverse = _functor(d, n, (i, i + 1), images)
+    inverse = _functor(d, n, images)
     forward = lifted_half_twist(d, n, i)
     ident = identity_functor(d, n)
     if compose_functors(forward, inverse) != ident or compose_functors(inverse, forward) != ident:
@@ -376,9 +364,8 @@ def lifted_half_twist_inverse(d: int, n: int, i: int) -> GroupoidFunctor:
 def dehn_twist(d: int, n: int, i: int, j: int) -> GroupoidFunctor:
     """Twist along the standard loop with indices (i, j), sheet mod d.
 
-    Only the edge images are intrinsic; the interior swap i <-> i+1 is the
-    unique vertex map making them endpoint-consistent, and the constructor
-    check would reject anything else.
+    Only the edge images are stored; the interior swap i <-> i+1 is read
+    off them, as for every functor.
     """
     check_params(d, n)
     check_index(d, n, i, (n + 1) * d)
@@ -399,7 +386,7 @@ def dehn_twist(d: int, n: int, i: int, j: int) -> GroupoidFunctor:
             images[Edge(i + 1, k)] = [(i, j1, 1), (i + 1, k, 1)]
         else:
             images[Edge(i + 1, k)] = [(i, jj, 1), (i + 1, k, 1)]
-    return _functor(d, n, (i, i + 1), images)
+    return _functor(d, n, images)
 
 
 # -- the base disk and the sheet-collapsing projection -----------------------
@@ -417,7 +404,7 @@ def base_half_twist(n: int, i: int) -> GroupoidFunctor:
     """
     check_params(1, n, 1)
     check_index(1, n, i, n + 1)
-    return _functor(1, n, (i, i + 1), {
+    return _functor(1, n, {
         Edge(i - 1, 1): [(i - 1, 1, 1), (i, 1, 1)],
         Edge(i, 1): [(i, 1, -1)],
         Edge(i + 1, 1): [(i, 1, 1), (i + 1, 1, 1)],

@@ -11,7 +11,8 @@ of the (d-1)(n-1) other edges e[i,j] (1 <= i <= n-1, 2 <= j <= d) to the
 inverse prefix x[i,j-1]^-1*...*x[i,1]^-1.  The generator x[i,j] is then the
 loop p_i * e[i,j] * e[i,j+1]^-1 * p_i^-1.
 
-A functor F fixing the basepoint therefore acts on the surface group by
+Every functor fixes the boundary, basepoint included, so a functor F acts
+on the surface group by
 
     x[i,j] -> P_i * W(e[i,j]) * W(e[i,j+1])^-1 * P_i^-1,
 
@@ -88,17 +89,15 @@ def word_to_loop(w: Word) -> EdgePath:
 
 
 def functor_to_automorphism(F: GroupoidFunctor) -> FreeAutomorphism:
-    """Action of a basepoint-fixing functor on the surface group.
+    """Action of a functor on the surface group.
 
-    Read straight off F's edge table by the path formula in the module
+    Every functor fixes the boundary, so it fixes the basepoint; the action
+    is read straight off F's edge table by the path formula in the module
     docstring.  Each row is built from the words of the few edges it needs,
     and the rows are built lazily, so like the closed form a table past the
     letter budget is refused after O(budget) work.
     """
     d, n = F.d, F.n
-    base = basepoint(d, n)
-    if F.vertex(base) != base:
-        raise ValueError(f"functor moves the basepoint {base}")
     table, edge_words = F.table, _edge_words(d, n)
 
     def word(code: int) -> tuple[int, ...]:

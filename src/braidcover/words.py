@@ -12,8 +12,9 @@ Internally a letter is a signed integer code: x[i,j] has code
 only as its substitution table, the image codes of every basis generator;
 `apply`, `compose`, `equal` and `abelianize` read that table, and the Word
 views (`images`, `image(i, j)`) are built on demand.  The public
-constructor checks that every code names a basis generator; values derived
-from validated ones (composites, the identity, the three routes' tables) are
+constructor checks the parameters and that every row is a reduced word
+over the basis, so equal maps have equal tables; values derived from
+validated ones (composites, the identity, the three routes' tables) are
 built through the private `_trusted` constructor without a second check.
 All values are immutable and every operation is pure.
 """
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import pairwise
 from typing import Iterable, NamedTuple
 
 from .errors import BudgetExceededError, ParameterMismatchError
@@ -275,15 +277,18 @@ class FreeAutomorphism:
     table: tuple[tuple[int, ...], ...]  # indexed by basis code - 1, i.e. ordered by (i, j)
 
     def __post_init__(self) -> None:
+        check_params(self.d, self.n)
         size = rank(self.d, self.n)
         if len(self.table) != size:
             raise ValueError(f"need {size} generator images, got {len(self.table)}")
-        for row in self.table:
+        for code, row in enumerate(self.table, start=1):
             for c in row:
                 if not 0 < abs(c) <= size:
                     raise ValueError(
                         f"no basis generator has code {abs(c)} for d={self.d}, n={self.n}"
                     )
+            if any(a == -b for a, b in pairwise(row)):
+                raise ValueError(f"image of generator code {code} is not freely reduced")
 
     _trusted = classmethod(_trusted_init)
 

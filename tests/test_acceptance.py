@@ -31,6 +31,7 @@ from braidcover.words import (
 )
 
 SEED = 0x5EED
+GRIDS = dict(braid.DESK_GRIDS)  # suite -> (d, n) pairs of the desk sweep
 
 
 def _report(number: int, passed: bool, text: str, elapsed: float) -> None:
@@ -65,10 +66,9 @@ def test_criterion_1_published_tables(capsys):
 def test_criterion_2_braid_relations():
     start = time.perf_counter()
     ok = True
-    for d in range(2, 7):
-        for n in range(3, 8):
-            report = check_braid_relations(d, n)  # functor and automorphism level
-            ok = ok and report.all_passed
+    for d, n in GRIDS["relations"]:
+        report = check_braid_relations(d, n)  # functor and automorphism level
+        ok = ok and report.all_passed
     elapsed = time.perf_counter() - start
     _report(2, ok and elapsed < 30.0,
             "braid relations and far commutations hold exactly for d=2..6, n=3..7",
@@ -78,11 +78,10 @@ def test_criterion_2_braid_relations():
 def test_criterion_3_dehn_factorization():
     start = time.perf_counter()
     ok = True
-    for d in range(2, 6):
-        for n in range(2, 6):
-            ok = ok and check_dehn_factorization(d, n).all_passed
+    for d, n in GRIDS["dehn"]:
+        ok = ok and check_dehn_factorization(d, n).all_passed
     # the d=2 row is the single-full-twist degeneration
-    for n in range(2, 6):
+    for n in (m for d, m in GRIDS["dehn"] if d == 2):
         for i in range(1, n):
             single = pi1.functor_to_automorphism(groupoid.dehn_twist(2, n, i, 2))
             ok = ok and equal(single, half_twist_action(2, n, i))
@@ -95,11 +94,7 @@ def test_criterion_3_dehn_factorization():
 
 def test_criterion_4_triple_cross_validation():
     start = time.perf_counter()
-    ok = all(
-        check_cross_validation(d, n).all_passed
-        for d in range(2, 7)
-        for n in range(2, 7)
-    )
+    ok = all(check_cross_validation(d, n).all_passed for d, n in GRIDS["cross"])
     elapsed = time.perf_counter() - start
     _report(4, ok and elapsed < 30.0,
             "closed form, conjugate form and groupoid route agree for d=2..6, n=2..6",
@@ -108,12 +103,7 @@ def test_criterion_4_triple_cross_validation():
 
 def test_criterion_5_covering_commutativity():
     start = time.perf_counter()
-    ok = all(
-        groupoid.verify_lift(d, n, i)
-        for d in range(2, 7)
-        for n in range(2, 8)
-        for i in range(1, n)
-    )
+    ok = all(groupoid.verify_lift(d, n, i) for d, n in GRIDS["lift"] for i in range(1, n))
     elapsed = time.perf_counter() - start
     _report(5, ok and elapsed < 5.0,
             "sheet collapse intertwines lifted and base half twists for d=2..6, n=2..7",

@@ -1,5 +1,8 @@
 """The braid action itself: closed forms, evaluation, twist factorization."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
@@ -291,6 +294,19 @@ def test_run_suite_all_concatenates_in_order():
     ) + len(run_suite(3, 3, "lift")) + len(run_suite(3, 3, "cross"))
 
 
+def test_desk_grids_match_the_benchmark_copy():
+    # bench/ imports only the standard library, so it keeps its own copy of
+    # the grids; load it read-only by path and pin the two together
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert tuple((suite, tuple(grid)) for suite, grid in bench.DESK_GRIDS) == braid.DESK_GRIDS
+    assert [suite for suite, _ in braid.DESK_GRIDS] == list(braid.SUITES)
+    assert sum(len(run_suite(d, n, suite)) for suite, grid in braid.DESK_GRIDS
+               for d, n in grid) == 645
+
+
 def test_run_suite_rejects_unknown_names():
     with pytest.raises(ValueError):
         run_suite(3, 3, "everything")
@@ -312,7 +328,7 @@ def test_failing_functor_comparison_names_the_first_differing_edge():
     assert not result.passed
     assert result.detail == "e[0,3]: e[0,3]*e[1,1] != e[0,3]*e[1,2]"
     result = braid._compare_functors("probe", lift, groupoid.identity_functor(3, 2))
-    assert (result.passed, result.detail) == (False, "vertex maps differ")
+    assert (result.passed, result.detail) == (False, "e[0,1]: e[0,1]*e[1,2] != e[0,1]")
 
 
 def test_failing_automorphism_comparison_spells_the_full_detail():

@@ -340,35 +340,43 @@ def test_functor_constructor_requires_endpoint_consistency():
     broken = list(good.table)
     broken[0] = edge_path(3, 2, 1, 1).steps  # wrong endpoints for edge e[0,1]
     with pytest.raises(EndpointMismatchError):
-        GroupoidFunctor(3, 2, good.vertex_images, tuple(broken))
+        GroupoidFunctor(3, 2, tuple(broken))
 
 
 @pytest.mark.parametrize(
     "row,error,match",
     [
-        # each row replaces the image of e[0,1], which must run v0[1] -> v[1]
-        ((1, 2), EndpointMismatchError, "begins at"),  # e[0,2] does not start at v[1]
-        ((1, 4, -4), ValueError, "not freely reduced"),  # ends at v[1], but backtracks
-        ((1, 10), EndpointMismatchError, "no edge has code 10"),  # (n+1)d = 9 edges
-        ((0,), EndpointMismatchError, "no edge has code 0"),
-        ((1, 4), EndpointMismatchError, "ends at"),  # chains, but ends at v[2]
+        # each row is (edge code, image steps) and replaces that edge's image;
+        # e[0,1] (code 1) must run v0[1] -> v[1]
+        ((1, (1, 2)), EndpointMismatchError, "begins at"),  # e[0,2] does not start at v[1]
+        ((1, (1, 4, -4)), ValueError, "not freely reduced"),  # ends at v[1], but backtracks
+        ((1, (1, 10)), EndpointMismatchError, "no edge has code 10"),  # (n+1)d = 9 edges
+        ((1, (0,)), EndpointMismatchError, "no edge has code 0"),
+        ((1, (1, 4)), EndpointMismatchError, "ends at"),  # chains, but ends at v[2]
+        # the vertex map reads where v[1] goes off the first step of the image
+        # of e[1,1] (code 4), so that step must name an edge
+        ((4, ()), EndpointMismatchError, "must begin with an edge"),
+        ((4, (0,)), EndpointMismatchError, "must begin with an edge"),
+        ((4, (10,)), EndpointMismatchError, "must begin with an edge"),
+        ((4, (1,)), EndpointMismatchError, "distinct interior"),  # v[1] -> v0[1], on the boundary
+        ((4, (-1,)), EndpointMismatchError, "ends at"),  # v[1] stays, but the row ends at v0[1]
+        ((7, (4,)), EndpointMismatchError, "distinct interior"),  # v[2] -> v[1], where v[1] goes
     ],
 )
 def test_functor_constructor_validates_every_row(row, error, match):
+    code, steps = row
     good = identity_functor(3, 2)
-    broken = (row,) + good.table[1:]
+    broken = good.table[: code - 1] + (steps,) + good.table[code:]
     with pytest.raises(error, match=match):
-        GroupoidFunctor(3, 2, good.vertex_images, broken)
+        GroupoidFunctor(3, 2, broken)
 
 
 def test_functor_constructor_requires_fixed_boundary():
+    # swapping the rows of e[0,1] and e[0,2] would send v0[1] to v0[2]
     good = identity_functor(3, 2)
-    moved = list(good.vertex_images)
-    a = moved.index(left_boundary(1))
-    b = moved.index(left_boundary(2))
-    moved[a], moved[b] = moved[b], moved[a]
-    with pytest.raises(ValueError):
-        GroupoidFunctor(3, 2, tuple(moved), good.table)
+    swapped = (good.table[1], good.table[0]) + good.table[2:]
+    with pytest.raises(EndpointMismatchError, match="begins at"):
+        GroupoidFunctor(3, 2, swapped)
 
 
 def test_endpoint_consistency_of_all_builtin_functors():
@@ -406,7 +414,7 @@ def test_path_constructor_rejects_codes_outside_the_edge_table(start, steps):
 )
 def test_hand_written_tables_are_validated(override):
     with pytest.raises(EndpointMismatchError):
-        groupoid._functor(3, 4, (2, 3), override)
+        groupoid._functor(3, 4, override)
 
 
 def _twist_product(rng, d, n, count):
@@ -438,9 +446,13 @@ def test_derived_paths_and_functors_pass_the_public_constructors(dn, seed):
     rng = random.Random(seed)
     partials = _twist_product(rng, d, n, rng.randint(0, 4))
     for F in partials:
-        assert GroupoidFunctor(F.d, F.n, F.vertex_images, F.table) == F
+        assert GroupoidFunctor(F.d, F.n, F.table) == F
         for image in F.edge_images:
             _assert_valid_path(image)
+    for F, G in zip(partials, partials[1:]):
+        FG = compose_functors(F, G)
+        for v in groupoid.vertices(d, n):
+            assert FG.vertex(v) == G.vertex(F.vertex(v))
     F = partials[-1]
     start, steps = _random_walk(rng, d, n, rng.randint(0, 16))
     q = path(d, n, steps, start=start)
@@ -471,7 +483,7 @@ def test_lift_check_sees_a_wrong_sheet():
     table = list(lift.table)
     assert lift.edge_images[code - 1] == p(d, n, "e[2,2]^-1")
     table[code - 1] = p(d, n, "e[2,1]^-1").steps
-    mutant = GroupoidFunctor(d, n, lift.vertex_images, tuple(table))
+    mutant = GroupoidFunctor(d, n, tuple(table))
     assert [project(a) for a in mutant.edge_images] == [project(a) for a in lift.edge_images]
     base = base_half_twist(n, i)
     assert groupoid._is_lift(lift, base)

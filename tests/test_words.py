@@ -296,6 +296,21 @@ def test_constructor_rejects_codes_outside_the_basis(code):
     assert FreeAutomorphism(3, 2, ((-2,), (1, -2))).table == ((-2,), (1, -2))
 
 
+@pytest.mark.parametrize(
+    "d,n,table,match",
+    [
+        # x[1,1] -> x[1,1]*x[1,1]^-1*x[1,1] is the identity map, but `equal`
+        # compares rows literally, so an unreduced row must not get in
+        (3, 2, ((1, -1, 1), (2,)), r"^image of generator code 1 is not freely reduced$"),
+        (3, 2, ((1,), (1, 2, -2)), r"^image of generator code 2 is not freely reduced$"),
+        (1, 3, (), r"^parameter d must be >= 2, got d=1$"),  # rank 0: no ambient group
+    ],
+)
+def test_constructor_rejects_unreduced_rows_and_bad_parameters(d, n, table, match):
+    with pytest.raises(ValueError, match=match):
+        FreeAutomorphism(d, n, table)
+
+
 def test_derived_automorphisms_skip_the_code_check(monkeypatch):
     f = braid.half_twist_action(3, 3, 1)
     F = groupoid.lifted_half_twist(3, 3, 2)
