@@ -10,9 +10,10 @@ three independent routes that must agree generator by generator:
   * the groupoid route     -- the lifted half twist pushed through
                               pi1.functor_to_automorphism.
 
-Braid words evaluate by left-to-right composition (leftmost letter acts
-first).  The inverse generator comes from the inverse lift on the groupoid
-side, so no general automorphism inversion is ever needed.
+Braid words evaluate by composition folded from the right; the leftmost
+letter still acts first.  The inverse generator comes from the inverse
+lift on the groupoid side, so no general automorphism inversion is ever
+needed.
 
 A product of mapping classes written D_2 * D_3 * ... * D_d composes like
 functions: the rightmost factor acts first.  dehn_twist_product follows
@@ -160,10 +161,16 @@ def generator_action(d: int, n: int, letter: int) -> FreeAutomorphism:
 
 
 def evaluate(w: BraidWord) -> FreeAutomorphism:
-    """Image of a braid word; leftmost letter acts first."""
+    """Image of a braid word, folded from the right; the leftmost letter
+    still acts first.
+
+    Composition is associative, so the fold order does not change the map.
+    Folding from the right, each letter pushes only the few rows its
+    generator moves through the accumulated table, and shares the rest.
+    """
     action = words.identity_automorphism(w.d, w.n)
-    for letter in w.letters:
-        action = words.compose(action, generator_action(w.d, w.n, letter))
+    for letter in reversed(w.letters):
+        action = words.compose(generator_action(w.d, w.n, letter), action)
     return action
 
 

@@ -38,8 +38,8 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .errors import EndpointMismatchError, SelfCheckError
-from .words import _format_codes, _parse_tokens, _reduce_onto, _same_params, _substitute
-from .words import _trusted_init, check_index, check_params, check_table_size
+from .words import _compose_rows, _format_codes, _parse_tokens, _reduce_onto, _same_params
+from .words import _substitute, _trusted_init, check_index, check_params, check_table_size
 
 
 class Vertex(NamedTuple):
@@ -291,8 +291,7 @@ def apply_functor(F: GroupoidFunctor, p: EdgePath) -> EdgePath:
 def compose_functors(F: GroupoidFunctor, G: GroupoidFunctor) -> GroupoidFunctor:
     """Composite that applies F first, then G."""
     _same_params(F, G)
-    table = G.table
-    return GroupoidFunctor._trusted(F.d, F.n, tuple(_substitute(table, row) for row in F.table))
+    return GroupoidFunctor._trusted(F.d, F.n, _compose_rows(F.table, G.table))
 
 
 @lru_cache(maxsize=None)

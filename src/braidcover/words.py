@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import pairwise
+from operator import neg
 from typing import Iterable, NamedTuple
 
 from .errors import BudgetExceededError, ParameterMismatchError
@@ -159,29 +160,56 @@ def _reduce_onto(out: list[int], codes: Iterable[int]) -> tuple[int, ...]:
 def _substitute(table, codes: Iterable[int]) -> tuple[int, ...]:
     """Freely reduced image of a code sequence under a letter substitution.
 
-    `table[c - 1]` holds the image codes of code c > 0; a negative code
-    contributes the inverse of its image.  The budget is checked per letter,
-    so a blow-up stops early.
+    `table[c - 1]` holds the image codes of code c > 0, a freely reduced
+    tuple or range; a negative code contributes the inverse of its image.
+    Since each image is reduced, only its head can cancel, against the tail
+    of the output so far: the image is spliced at that seam, and when its
+    first letter does not cancel it is appended whole.  The budget is
+    checked once per code, so a blow-up stops early.
     """
     out: list[int] = []
     budget = LETTER_BUDGET
     for c in codes:
-        img = table[abs(c) - 1]
         if c > 0:
-            for t in img:
-                if out and out[-1] == -t:
+            img = table[c - 1]
+            if out and img and out[-1] == -img[0]:
+                out.pop()
+                k, m = 1, len(img)
+                while k < m and out and out[-1] == -img[k]:
                     out.pop()
-                else:
-                    out.append(t)
+                    k += 1
+                out.extend(img[k:])
+            else:
+                out.extend(img)
         else:
-            for t in reversed(img):
-                if out and out[-1] == t:
-                    out.pop()
-                else:
-                    out.append(-t)
+            img = table[-c - 1]
+            k = len(img)  # img[:k] is still to be appended, inverted
+            while k and out and out[-1] == img[k - 1]:
+                out.pop()
+                k -= 1
+            if k == 1:
+                # most rows of the verify tables are one step long, and for
+                # those map and reversed cost more than the letter itself
+                out.append(-img[0])
+            elif k:
+                out.extend(map(neg, reversed(img[:k])))
         if len(out) > budget:
             raise BudgetExceededError(f"result exceeds the letter budget of {budget}")
     return tuple(out)
+
+
+def _compose_rows(rows, table) -> tuple[tuple[int, ...], ...]:
+    """Rows of a composite: each row pushed through the substitution `table`.
+
+    A row that is a single positive code c reuses `table[c - 1]` itself, so
+    the rows a map leaves fixed are shared with `table`, not rebuilt.  The
+    rows of `table` therefore become rows of the result: it must hold
+    tuples (unlike the range rows of `pi1._edge_words`).
+    """
+    return tuple(
+        table[row[0] - 1] if len(row) == 1 and row[0] > 0 else _substitute(table, row)
+        for row in rows
+    )
 
 
 def _expand_symbol(d: int, n: int, i: int, j: int, sign: int) -> list[int]:
@@ -323,8 +351,7 @@ def apply(f: FreeAutomorphism, w: Word) -> Word:
 def compose(f: FreeAutomorphism, g: FreeAutomorphism) -> FreeAutomorphism:
     """Composite that applies f first, then g."""
     _same_params(f, g)
-    table = g.table
-    return FreeAutomorphism._trusted(f.d, f.n, tuple(_substitute(table, row) for row in f.table))
+    return FreeAutomorphism._trusted(f.d, f.n, _compose_rows(f.table, g.table))
 
 
 def equal(f: FreeAutomorphism, g: FreeAutomorphism) -> bool:

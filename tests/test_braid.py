@@ -1,10 +1,12 @@
 """The braid action itself: closed forms, evaluation, twist factorization."""
 
+import functools
 import importlib.util
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from braidcover import braid, groupoid, pi1, words
 from braidcover.errors import BudgetExceededError
@@ -162,6 +164,29 @@ def test_evaluate_inverse_law(data):
     d, n, letters = data
     bw = braid_word(d, n, letters)
     assert equal(compose(evaluate(bw), evaluate(bw.inverse())), identity_automorphism(d, n))
+
+
+@given(strategies.braid_letters_with_params(max_size=10))
+@example((3, 3, ()))
+def test_evaluate_equals_the_left_fold(data):
+    d, n, letters = data
+    actions = (generator_action(d, n, s) for s in letters)
+    left = functools.reduce(compose, actions, identity_automorphism(d, n))
+    got = evaluate(braid_word(d, n, letters))
+    assert got.table == left.table
+    assert all(type(row) is tuple for row in got.table)
+
+
+@given(strategies.braid_letters_with_params(max_n=6, max_size=6), st.integers(0, 10**6))
+def test_compose_shares_the_rows_a_generator_fixes(data, pick):
+    d, n, letters = data
+    acc = evaluate(braid_word(d, n, letters))
+    i, sign = divmod(pick % (2 * (n - 1)), 2)
+    g = generator_action(d, n, (i + 1) * (1 - 2 * sign))
+    fixed = [k for k, row in enumerate(g.table) if row == (k + 1,)]
+    assert len(fixed) >= words.rank(d, n) - 3 * (d - 1)
+    composite = compose(g, acc)
+    assert all(composite.table[k] is acc.table[k] for k in fixed)
 
 
 def test_inverse_generator_comes_from_the_inverse_lift():

@@ -1,5 +1,6 @@
 """Cover-graph paths and self-functors: twists, lifts, projection."""
 
+import functools
 import random
 
 import pytest
@@ -33,6 +34,8 @@ from braidcover.groupoid import (
     verify_lift,
     vertices,
 )
+
+import strategies
 
 
 def p(d, n, text):
@@ -249,6 +252,22 @@ def test_composite_of_three_twists_matches_stepwise_chain():
         j2 = (j + 1) % d + 1
         assert triple.edge(i + 2, j) == p(d, n, f"e[1,{j}]*e[2,{j}]*e[3,{j}]")
         assert triple.edge(i, j) == p(d, n, f"e[2,{j2}]^-1")
+
+
+@given(strategies.braid_letters_with_params(max_n=6, max_size=6), st.integers(0, 10**6))
+def test_compose_functors_shares_the_edges_a_twist_fixes(data, pick):
+    d, n, letters = data
+
+    def lift(s):
+        return lifted_half_twist(d, n, s) if s > 0 else lifted_half_twist_inverse(d, n, -s)
+
+    acc = functools.reduce(compose_functors, map(lift, letters), identity_functor(d, n))
+    i, sign = divmod(pick % (2 * (n - 1)), 2)
+    F = lift((i + 1) * (1 - 2 * sign))
+    fixed = [k for k, row in enumerate(F.table) if row == (k + 1,)]
+    assert len(fixed) >= (n + 1) * d - 3 * d
+    composite = compose_functors(F, acc)
+    assert all(composite.table[k] is acc.table[k] for k in fixed)
 
 
 def test_compose_with_identity_is_neutral():

@@ -1,6 +1,7 @@
 """Free-group arithmetic: reduction, group axioms, automorphisms, abelianization."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -145,6 +146,71 @@ def test_apply_is_a_homomorphism(data, pick):
     f = braid.generator_action(d, n, pick % (n - 1) + 1)
     assert apply(f, multiply(u, v)) == multiply(apply(f, u), apply(f, v))
     assert apply(f, invert(u)) == invert(apply(f, u))
+
+
+def _substitute_letter_by_letter(table, codes, budget):
+    """Reference for `words._substitute`: every image letter goes through
+    the stack on its own."""
+    out = []
+    for c in codes:
+        img = table[abs(c) - 1]
+        for t in img if c > 0 else [-t for t in reversed(img)]:
+            if out and out[-1] == -t:
+                out.pop()
+            else:
+                out.append(t)
+        if len(out) > budget:
+            raise BudgetExceededError(f"{len(out)} letters")
+    return tuple(out)
+
+
+@st.composite
+def substitutions(draw):
+    """A table of reduced rows and the codes to push through it.
+
+    Rows are tuples over a small alphabet, so that an image often cancels
+    past whole earlier images, one-signed ranges as in `pi1._edge_words`,
+    or empty."""
+    alphabet = draw(st.integers(1, 3))
+    letter = st.integers(1, alphabet).flatmap(lambda c: st.sampled_from((c, -c)))
+    tuple_row = st.lists(letter, max_size=5).map(lambda cs: words._reduce_onto([], cs))
+    range_row = st.builds(
+        lambda a, size, sign: range(a, a + size) if sign > 0 else range(1 - a - size, 1 - a),
+        st.integers(1, alphabet), st.integers(0, 4), st.sampled_from((1, -1)),
+    )
+    table = draw(st.lists(st.one_of(tuple_row, range_row, st.just(())), min_size=1, max_size=4))
+    code = st.integers(1, len(table)).flatmap(lambda c: st.sampled_from((c, -c)))
+    return tuple(table), draw(st.lists(code, max_size=12))
+
+
+@given(substitutions(), st.integers(0, 12))
+def test_substitute_matches_the_letter_by_letter_reference(case, budget):
+    table, codes = case
+    expected = _substitute_letter_by_letter(table, codes, words.LETTER_BUDGET)
+    assert words._substitute(table, codes) == expected
+    # under a small budget both refuse exactly the same inputs
+    with mock.patch.object(words, "LETTER_BUDGET", budget):
+        try:
+            _substitute_letter_by_letter(table, codes, budget)
+        except BudgetExceededError:
+            with pytest.raises(BudgetExceededError):
+                words._substitute(table, codes)
+        else:
+            assert words._substitute(table, codes) == expected
+
+
+@pytest.mark.parametrize("table,codes,expected", [
+    # the third image cancels the first two whole, then goes on
+    (((1,), (2,), (-2, -1, 3)), (1, 2, 3), (3,)),
+    # an inverted image cancels the first two whole, then goes on
+    (((1,), (2,), (3, 1, 2)), (1, 2, -3), (-3,)),
+    # a range image cancels past an empty image and a whole range image
+    ((range(-2, 0), (), (1, 2, 4)), (1, 2, 3), (4,)),
+    ((range(3, 4), range(4, 5), range(2, 5)), (1, 2, -3), (-2,)),
+])
+def test_substitute_cancels_past_whole_images(table, codes, expected):
+    assert words._substitute(table, codes) == expected
+    assert _substitute_letter_by_letter(table, codes, words.LETTER_BUDGET) == expected
 
 
 def test_compose_identity_is_neutral():
