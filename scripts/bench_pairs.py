@@ -2,18 +2,18 @@
 """Alternating parent/change benchmark pairs, collected into one JSON record.
 
     python3 scripts/bench_pairs.py --parent ../parent --change ../change \\
-        --pairs 10 --seconds 30 --first-seed 801 --out BENCH_8.json
+        --first-seed 801 --out BENCH_8.json
 
 `--parent` and `--change` are two source checkouts.  For every workload
-of `bench/run.py` and every pair k, both checkouts run
-`bench/run.py --workload W --seed first_seed + k --seconds S --trace 0`
-with the same seed; the parent runs first in even pairs and the change in
-odd ones.  The record holds, per workload and end-to-end metric, each
+in the change's BENCHMARK.json and every pair k, both checkouts run
+`bench/run.py --workload W --seed first_seed + k --seconds S --trace 0`,
+with S the benchmark's `run_seconds` and the same seed on both sides;
+the parent runs first in even pairs and the change in odd ones.  The record holds, per workload and end-to-end metric, each
 side's median with [q1, q3] and the pairs the change won (ties count for
 neither), the failed share of ops, each side's environment (Python
 version, git SHA, source digest and nproc, which must not change during
 the runs) and every run's raw metrics.  Directions of improvement are
-read from the change's BENCHMARK.json.
+also read from the change's BENCHMARK.json.
 """
 
 from __future__ import annotations
@@ -79,10 +79,7 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--first-seed", type=int, required=True)
-    parser.add_argument("--workload", action="append",
-                        help="workload to run (repeatable); default: every one in BENCHMARK.json")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     if args.pairs < 2:
@@ -90,16 +87,16 @@ def main(argv=None) -> int:
 
     declared = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
-    workloads = args.workload or [w["name"] for w in declared["workloads"]]
+    seconds = declared["run_seconds"]
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    record = {"pairs": args.pairs, "seconds": args.seconds,
+    record = {"pairs": args.pairs, "seconds": seconds,
               "seeds": [args.first_seed + k for k in range(args.pairs)], "env": {}, "workloads": {}}
-    for workload in workloads:
+    orders = [SIDES if k % 2 == 0 else SIDES[::-1] for k in range(args.pairs)]
+    for workload in (w["name"] for w in declared["workloads"]):
         runs = {side: [] for side in SIDES}
-        for k, seed in enumerate(record["seeds"]):
-            order = SIDES if k % 2 == 0 else SIDES[::-1]
+        for seed, order in zip(record["seeds"], orders):
             for side in order:
-                runs[side].append(run_bench(roots[side], workload, seed, args.seconds))
+                runs[side].append(run_bench(roots[side], workload, seed, seconds))
                 m = runs[side][-1]["metrics"]
                 print(f"{workload} seed={seed} {side:6} run_ref={m['run_ref']:.4g} "
                       f"peak_rss_mb={m['peak_rss_mb']:.1f}", flush=True)
@@ -109,7 +106,7 @@ def main(argv=None) -> int:
             if any(env != expected for env in envs):
                 raise RuntimeError(f"the {side} environment changed during the runs: {envs}")
         record["workloads"][workload] = {
-            "first": [(SIDES if k % 2 == 0 else SIDES[::-1])[0] for k in range(args.pairs)],
+            "first": [order[0] for order in orders],
             "summary": compare(runs, better),
             "runs": runs,
         }
