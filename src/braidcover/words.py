@@ -188,8 +188,9 @@ def _substitute(table, codes: Iterable[int]) -> tuple[int, ...]:
                 out.pop()
                 k -= 1
             if k == 1:
-                # most rows of the verify tables are one step long, and for
-                # those map and reversed cost more than the letter itself
+                # one-letter images (the collapse and deck tables, most
+                # functor rows) are common, and map and reversed would cost
+                # more than the letter
                 out.append(-img[0])
             elif k:
                 out.extend(map(neg, reversed(img[:k])))
