@@ -5,15 +5,17 @@
         --first-seed 801 --out BENCH_8.json
 
 `--parent` and `--change` are two source checkouts.  For every workload
-in the change's BENCHMARK.json and every pair k, both checkouts run
+in the change's BENCHMARK.json and each of the PAIRS pairs k (ten, the
+fewest that can carry a claim), both checkouts run
 `bench/run.py --workload W --seed first_seed + k --seconds S --trace 0`,
 with S the benchmark's `run_seconds` and the same seed on both sides;
-the parent runs first in even pairs and the change in odd ones.  The record holds, per workload and end-to-end metric, each
-side's median with [q1, q3] and the pairs the change won (ties count for
-neither), the failed share of ops, each side's environment (Python
-version, git SHA, source digest and nproc, which must not change during
-the runs) and every run's raw metrics.  Directions of improvement are
-also read from the change's BENCHMARK.json.
+the parent runs first in even pairs and the change in odd ones.  The
+record holds, per workload and end-to-end metric, each side's median
+with [q1, q3] and the pairs the change won (ties count for neither), the
+failed share of ops, each side's environment (Python version, git SHA,
+source digest and nproc, which must not change during the runs) and
+every run's raw metrics.  Directions of improvement are also read from
+the change's BENCHMARK.json.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -78,20 +81,17 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, required=True)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("quartiles need at least 2 pairs")
 
     declared = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
     seconds = declared["run_seconds"]
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    record = {"pairs": args.pairs, "seconds": seconds,
-              "seeds": [args.first_seed + k for k in range(args.pairs)], "env": {}, "workloads": {}}
-    orders = [SIDES if k % 2 == 0 else SIDES[::-1] for k in range(args.pairs)]
+    record = {"pairs": PAIRS, "seconds": seconds,
+              "seeds": [args.first_seed + k for k in range(PAIRS)], "env": {}, "workloads": {}}
+    orders = [SIDES if k % 2 == 0 else SIDES[::-1] for k in range(PAIRS)]
     for workload in (w["name"] for w in declared["workloads"]):
         runs = {side: [] for side in SIDES}
         for seed, order in zip(record["seeds"], orders):

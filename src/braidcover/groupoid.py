@@ -239,7 +239,9 @@ class GroupoidFunctor:
     table: tuple[tuple[int, ...], ...]  # indexed by edge code - 1
 
     def __post_init__(self) -> None:
-        d, n, table = self.d, self.n, self.table
+        # tuple rows, as derived tables hold: `_compose_rows` shares them
+        d, n, table = self.d, self.n, tuple(map(tuple, self.table))
+        object.__setattr__(self, "table", table)
         check_params(d, n, 1)
         ends = _ends(d, n)
         if len(table) != len(ends):

@@ -12,10 +12,11 @@ Internally a letter is a signed integer code: x[i,j] has code
 only as its substitution table, the image codes of every basis generator;
 `apply`, `compose`, `equal` and `abelianize` read that table, and the Word
 views (`images`, `image(i, j)`) are built on demand.  The public
-constructor checks the parameters and that every row is a reduced word
-over the basis, so equal maps have equal tables; values derived from
-validated ones (composites, the identity, the three routes' tables) are
-built through the private `_trusted` constructor without a second check.
+constructor stores the rows as tuples and checks the parameters and that
+every row is a reduced word over the basis, so equal maps have equal
+tables; values derived from validated ones (composites, the identity,
+the three routes' tables) are built through the private `_trusted`
+constructor without a second check.
 All values are immutable and every operation is pure.
 """
 
@@ -205,7 +206,8 @@ def _compose_rows(rows, table) -> tuple[tuple[int, ...], ...]:
     A row that is a single positive code c reuses `table[c - 1]` itself, so
     the rows a map leaves fixed are shared with `table`, not rebuilt.  The
     rows of `table` therefore become rows of the result: it must hold
-    tuples (unlike the range rows of `pi1._edge_words`).
+    tuples, as every automorphism and functor table does (unlike the range
+    rows of `pi1._edge_words`).
     """
     return tuple(
         table[row[0] - 1] if len(row) == 1 and row[0] > 0 else _substitute(table, row)
@@ -306,6 +308,8 @@ class FreeAutomorphism:
     table: tuple[tuple[int, ...], ...]  # indexed by basis code - 1, i.e. ordered by (i, j)
 
     def __post_init__(self) -> None:
+        # tuple rows, as derived tables hold: `_compose_rows` shares them
+        object.__setattr__(self, "table", tuple(map(tuple, self.table)))
         check_params(self.d, self.n)
         size = rank(self.d, self.n)
         if len(self.table) != size:

@@ -1,5 +1,6 @@
 """Exit-status contract and byte-deterministic output of the command line."""
 
+import functools
 import hashlib
 import shlex
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 from braidcover import braid, cli, groupoid, words
 from braidcover.braid import CheckResult, Report, run_suite
+from braidcover.errors import BudgetExceededError
 
 
 def run_cli(capsys, *argv):
@@ -161,6 +163,30 @@ def test_word_growth_past_the_budget_exits_one(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "eval", "--d", "3", "--n", "3", "--word", "1 -2 " * 10)
     assert (code, out) == (1, "")
     assert "result exceeds the letter budget of 12" in err
+
+
+def test_refusal_near_the_budget_follows_the_suffix_products(capsys, monkeypatch):
+    # Both words are X X^-1, the identity braid.  `evaluate` folds from the
+    # right, so the products it builds on the way are the word's suffixes,
+    # and whether a word near the budget is refused depends on them; a left
+    # fold builds the prefix products and decides each word the other way.
+    def left_fold(w):
+        actions = (braid.generator_action(w.d, w.n, letter) for letter in w.letters)
+        return functools.reduce(words.compose, actions, words.identity_automorphism(w.d, w.n))
+
+    for word, budget, code in (("1 -2 1 -2 2 -1 2 -1", 20, 1),
+                               ("1 1 1 -2 -2 -2 2 2 2 -1 -1 -1", 30, 0)):
+        monkeypatch.setattr(words, "LETTER_BUDGET", budget)
+        got, _, err = run_cli(capsys, "eval", "--d", "3", "--n", "3", "--word", word)
+        assert got == code, word
+        w = braid.BraidWord(3, 3, tuple(int(t) for t in word.split()))
+        if code:
+            assert f"result exceeds the letter budget of {budget}" in err
+            left_fold(w)
+        else:
+            assert err == ""
+            with pytest.raises(BudgetExceededError):
+                left_fold(w)
 
 
 def test_oversized_tables_exit_one_before_allocation(capsys, monkeypatch):

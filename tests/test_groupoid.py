@@ -390,6 +390,18 @@ def test_functor_constructor_validates_every_row(row, error, match):
         GroupoidFunctor(3, 2, broken)
 
 
+def test_functor_constructor_stores_tuple_rows_that_composites_share():
+    # `compose_functors` shares the rows of its second argument, so list rows
+    # given to the constructor must not reach a composite as lists
+    identity = identity_functor(3, 2)
+    F = GroupoidFunctor(3, 2, [list(row) for row in identity.table])
+    assert F.table == identity.table
+    composite = compose_functors(identity, F)
+    assert all(type(row) is tuple for row in composite.table)
+    assert composite == identity
+    assert hash(composite) == hash(identity)
+
+
 def test_functor_constructor_requires_fixed_boundary():
     # swapping the rows of e[0,1] and e[0,2] would send v0[1] to v0[2]
     good = identity_functor(3, 2)

@@ -377,6 +377,17 @@ def test_constructor_rejects_unreduced_rows_and_bad_parameters(d, n, table, matc
         FreeAutomorphism(d, n, table)
 
 
+def test_constructor_stores_tuple_rows_that_composites_share():
+    # `compose` shares the rows of its second argument, so list rows given
+    # to the constructor must not reach a composite as lists
+    f = FreeAutomorphism(3, 2, ([1], [2]))
+    assert f.table == ((1,), (2,))
+    g = compose(identity_automorphism(3, 2), f)
+    assert all(type(row) is tuple for row in g.table)
+    assert equal(g, identity_automorphism(3, 2))
+    assert hash(g) == hash(identity_automorphism(3, 2))
+
+
 def test_derived_automorphisms_skip_the_code_check(monkeypatch):
     f = braid.half_twist_action(3, 3, 1)
     F = groupoid.lifted_half_twist(3, 3, 2)
