@@ -4,7 +4,11 @@
     python3 scripts/bench_pairs.py --parent ../parent --change ../change \\
         --first-seed 801 --out BENCH_8.json
 
-`--parent` and `--change` are two source checkouts.  For every workload
+`--parent` and `--change` are two source checkouts.  Both checkouts'
+`src/` are compiled once with `compileall` before the first pair, so every
+run on either side reads cached bytecode: `setup_s` times a cold import,
+and a checkout without a bytecode cache would read slower than one with
+it.  For every workload
 in the change's BENCHMARK.json and each of the PAIRS pairs k (ten, the
 fewest that can carry a claim), both checkouts run
 `bench/run.py --workload W --seed first_seed + k --seconds S --trace 0`,
@@ -29,6 +33,12 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 PAIRS = 10
+
+
+def warm_bytecode(root: Path) -> None:
+    """Write the bytecode cache of the checkout's `src/` with this interpreter."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", str(root / "src")],
+                   check=True, capture_output=True)
 
 
 def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -91,6 +101,8 @@ def main(argv=None) -> int:
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     record = {"pairs": PAIRS, "seconds": seconds,
               "seeds": [args.first_seed + k for k in range(PAIRS)], "env": {}, "workloads": {}}
+    for root in roots.values():
+        warm_bytecode(root)
     orders = [SIDES if k % 2 == 0 else SIDES[::-1] for k in range(PAIRS)]
     for workload in (w["name"] for w in declared["workloads"]):
         runs = {side: [] for side in SIDES}

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import pairwise
-from operator import neg
+from itertools import compress, count, islice, pairwise
+from operator import add, ne, neg
 from typing import Iterable, NamedTuple
 
 from .errors import BudgetExceededError, ParameterMismatchError
@@ -33,6 +33,11 @@ from .errors import BudgetExceededError, ParameterMismatchError
 # Hard cap on the length of any computed word; operations raise
 # BudgetExceededError instead of exhausting memory past this point.
 LETTER_BUDGET = 10**6
+
+# Images longer than this cancel at a seam by one C-level scan in
+# `_substitute`; shorter ones letter by letter.  The verify suites' images
+# stay below it (at most 56 letters at d = n = 20); long braid words pass it.
+SCAN_FROM = 128
 
 
 class GeneratorSymbol(NamedTuple):
@@ -165,7 +170,19 @@ def _substitute(table, codes: Iterable[int]) -> tuple[int, ...]:
     tuple or range; a negative code contributes the inverse of its image.
     Since each image is reduced, only its head can cancel, against the tail
     of the output so far: the image is spliced at that seam, and when its
-    first letter does not cancel it is appended whole.  The budget is
+    first letter does not cancel it is appended whole.
+
+    The seam is cancelled in one of two regimes, chosen by the image's
+    length against SCAN_FROM.  An image of at most SCAN_FROM letters cancels
+    letter by letter in a Python loop, which costs nothing to start and
+    one interpreted turn per letter.  A longer image finds the length of its
+    cancelled run with one C-level scan of the output's tail against its
+    head, drops that run with one `del` and appends the rest with one
+    `extend`: the scan costs a few iterator set-ups to start, and far less
+    per letter.  The split is on image length because that bounds the run
+    and is one comparison per code; bounding the run by both lengths
+    (`min`) costs more than the short images gain, and scanning every seam
+    slows the short-image tables of the verify suites.  The budget is
     checked once per code, so a blow-up stops early.
     """
     out: list[int] = []
@@ -174,27 +191,44 @@ def _substitute(table, codes: Iterable[int]) -> tuple[int, ...]:
         if c > 0:
             img = table[c - 1]
             if out and img and out[-1] == -img[0]:
-                out.pop()
-                k, m = 1, len(img)
-                while k < m and out and out[-1] == -img[k]:
+                m = len(img)
+                if m > SCAN_FROM:
+                    # k: the first i >= 1 with out[-1 - i] + img[i] != 0
+                    k = next(
+                        compress(count(1), map(add, islice(reversed(out), 1, None),
+                                               islice(img, 1, None))),
+                        min(len(out), m),
+                    )
+                    del out[len(out) - k:]
+                else:
                     out.pop()
-                    k += 1
+                    k = 1
+                    while k < m and out and out[-1] == -img[k]:
+                        out.pop()
+                        k += 1
                 out.extend(img[k:])
             else:
                 out.extend(img)
         else:
             img = table[-c - 1]
             k = len(img)  # img[:k] is still to be appended, inverted
-            while k and out and out[-1] == img[k - 1]:
-                out.pop()
-                k -= 1
-            if k == 1:
-                # one-letter images (the collapse and deck tables, most
-                # functor rows) are common, and map and reversed would cost
-                # more than the letter
-                out.append(-img[0])
-            elif k:
-                out.extend(map(neg, reversed(img[:k])))
+            if k > SCAN_FROM:
+                # j: the first i with out[-1 - i] != img[-1 - i]
+                j = next(compress(count(), map(ne, reversed(out), reversed(img))),
+                         min(len(out), k))
+                del out[len(out) - j:]
+                out.extend(map(neg, reversed(img[:k - j])))
+            else:
+                while k and out and out[-1] == img[k - 1]:
+                    out.pop()
+                    k -= 1
+                if k == 1:
+                    # one-letter images (the collapse and deck tables, most
+                    # functor rows) are common, and map and reversed would cost
+                    # more than the letter
+                    out.append(-img[0])
+                elif k:
+                    out.extend(map(neg, reversed(img[:k])))
         if len(out) > budget:
             raise BudgetExceededError(f"result exceeds the letter budget of {budget}")
     return tuple(out)
