@@ -299,11 +299,23 @@ GOLDEN_STDOUT = [
      "508df9ea000e05c0e8dc497883f4c247131ec713", "4fdd7e89f4cba1165a6150abc752963f26897123"),
     (("verify", "--d", "4", "--n", "5", "--suite", "all"),
      "ab6395c63111e100178d77ad761758524b2ae4b1", "ad99c6bb6ef26171a05cfb90702871469a226c67"),
+    # rows of 967 and 1,565 letters: seams past words.SCAN_FROM, both signs
+    (("eval", "--d", "3", "--n", "3", "--word", " ".join(["1 -2"] * 6)),
+     "b23910808be9948671f893cd3c5c09e28f166ee5", "79701f3d97c5e0205b8fa6b116e610d738777c39"),
+    (("eval", "--d", "3", "--n", "3", "--word", " ".join(["-1 2"] * 6)),
+     "9a1cc4c07d2b4ee569987d8fbea653d387537bee", "53a0122276382b8dd08f611bff9fbc21abf89695"),
 ]
 
 
+def _golden_ids(cases):
+    """The command name; a command seen before also gets its position, so
+    the first case of each keeps its id."""
+    names = [argv[0] for argv, _, _ in cases]
+    return [name if names.index(name) == k else f"{name}-{k}" for k, name in enumerate(names)]
+
+
 @pytest.mark.parametrize("argv,text_sha1,structured_sha1", GOLDEN_STDOUT,
-                         ids=[argv[0] for argv, _, _ in GOLDEN_STDOUT])
+                         ids=_golden_ids(GOLDEN_STDOUT))
 def test_stdout_matches_the_golden_digest(capsys, argv, text_sha1, structured_sha1):
     for mode, want in (("text", text_sha1), ("structured", structured_sha1)):
         code, out, err = run_cli(capsys, *argv, "--output-mode", mode)

@@ -50,7 +50,8 @@ def test_pair_runs_read_bytecode_compiled_before_the_first_pair(tmp_path, monkey
     def run_bench(root, workload, seed, seconds):
         # every run, the first included, finds both checkouts compiled
         assert all(Path(pyc).is_file() for pyc in cached)
-        return {"seed": seed, "env": {}, "attempted": 1, "failed": 0, "metrics": {"run_ref": 1.0, "peak_rss_mb": 1.0}}
+        return {"seed": seed, "env": {}, "attempted": 1, "failed": 0,
+                "metrics": {"run_ref": 1.0, "peak_rss_mb": 1.0}}
 
     monkeypatch.setattr(pairs, "run_bench", run_bench)
     out = tmp_path / "record.json"

@@ -1,10 +1,11 @@
 """Free-group arithmetic: reduction, group axioms, automorphisms, abelianization."""
 
+import itertools
 import random
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidcover import braid, groupoid, pi1, words
@@ -164,21 +165,49 @@ def _substitute_letter_by_letter(table, codes, budget):
     return tuple(out)
 
 
+def _inverse(codes):
+    return tuple(-c for c in reversed(codes))
+
+
 @st.composite
-def substitutions(draw):
+def substitutions(draw, long_rows=st.booleans()):
     """A table of reduced rows and the codes to push through it.
 
     Rows are tuples over a small alphabet, so that an image often cancels
     past whole earlier images, one-signed ranges as in `pi1._edge_words`,
-    or empty."""
+    or empty.  Long rows, past `words.SCAN_FROM` letters, reach the scan
+    regime of `_substitute`: long ranges, and pieces of one base word (its
+    prefixes, suffixes and middles between shared cuts) or their inverses,
+    so that long runs cancel where they meet."""
     alphabet = draw(st.integers(1, 3))
     letter = st.integers(1, alphabet).flatmap(lambda c: st.sampled_from((c, -c)))
     tuple_row = st.lists(letter, max_size=5).map(lambda cs: words._reduce_onto([], cs))
     range_row = st.builds(
         lambda a, size, sign: range(a, a + size) if sign > 0 else range(1 - a - size, 1 - a),
-        st.integers(1, alphabet), st.integers(0, 4), st.sampled_from((1, -1)),
+        st.integers(1, alphabet),
+        st.one_of(st.integers(0, 4), st.integers(words.SCAN_FROM - 1, words.SCAN_FROM + 2)),
+        st.sampled_from((1, -1)),
     )
-    table = draw(st.lists(st.one_of(tuple_row, range_row, st.just(())), min_size=1, max_size=4))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(2 * words.SCAN_FROM + 1, 3 * words.SCAN_FROM))
+    base = []
+    while len(base) < size:
+        c = rng.choice((1, -1)) * rng.randint(1, alphabet)
+        if not base or base[-1] != -c:
+            base.append(c)
+    # pieces B[a:b] of the base B between shared cuts, maybe inverted: one
+    # that ends where another's inverse starts cancels a long run against
+    # it, which stops mid-image, eats the whole image or eats all of `out`
+    cuts = sorted({0, size, *draw(st.lists(st.integers(0, size), max_size=2))})
+    pieces = [tuple(base[a:b]) for a, b in itertools.combinations(cuts, 2)]
+    long_row = st.builds(
+        lambda piece, inverted: _inverse(piece) if inverted else piece,
+        st.sampled_from(pieces), st.booleans(),
+    )
+    row = st.one_of(tuple_row, range_row, st.just(()))
+    if draw(long_rows):
+        row = st.one_of(long_row, long_row, row)
+    table = draw(st.lists(row, min_size=1, max_size=4))
     code = st.integers(1, len(table)).flatmap(lambda c: st.sampled_from((c, -c)))
     return tuple(table), draw(st.lists(code, max_size=12))
 
@@ -199,6 +228,14 @@ def test_substitute_matches_the_letter_by_letter_reference(case, budget):
             assert words._substitute(table, codes) == expected
 
 
+@settings(max_examples=300)
+@given(substitutions(long_rows=st.just(True)))
+def test_substitute_matches_the_reference_across_long_seams(case):
+    table, codes = case
+    assert words._substitute(table, codes) == _substitute_letter_by_letter(
+        table, codes, words.LETTER_BUDGET)
+
+
 @pytest.mark.parametrize("table,codes,expected", [
     # the third image cancels the first two whole, then goes on
     (((1,), (2,), (-2, -1, 3)), (1, 2, 3), (3,)),
@@ -209,6 +246,51 @@ def test_substitute_matches_the_letter_by_letter_reference(case, budget):
     ((range(3, 4), range(4, 5), range(2, 5)), (1, 2, -3), (-2,)),
 ])
 def test_substitute_cancels_past_whole_images(table, codes, expected):
+    assert words._substitute(table, codes) == expected
+    assert _substitute_letter_by_letter(table, codes, words.LETTER_BUDGET) == expected
+
+
+def _long_seams():
+    """(table, codes, expected) with a long run cancelled at the seam of the
+    last code, an image of exactly SCAN_FROM letters (the letter loop) or
+    one more (the scan), pushed as a positive and as a negative code."""
+    out, short = tuple(range(1, 301)), tuple(range(1, 41))
+    cases = []
+    for size in (words.SCAN_FROM, words.SCAN_FROM + 1):
+        for name, first, image, expected in (
+            # the run stops before the image's last letter
+            ("mid-image", out, _inverse(out)[:size - 1] + (999,), out[:301 - size] + (999,)),
+            # the run eats the whole image
+            ("whole-image", out, _inverse(out)[:size], out[:300 - size]),
+            # the run eats all of the output so far
+            ("all-of-out", short, _inverse(short) + tuple(range(500, 460 + size)),
+             tuple(range(500, 460 + size))),
+        ):
+            cases.append((f"tuple-{name}-{size}-positive", (first, image), (1, 2), expected))
+            cases.append((f"tuple-{name}-{size}-negative", (first, _inverse(image)), (1, -2),
+                          expected))
+        # the same three runs over range rows; a range cannot change sign,
+        # so the mid-image stop is at a letter pushed before the range, and
+        # the run that eats all of `out` also eats the whole image
+        for name, table, head, expected in (
+            ("mid-image", ((5,), range(101, 201), range(-200, size - 200)), (1, 2),
+             (5,) + tuple(range(-100, size - 200))),
+            ("whole-image", (range(1, 301), range(-300, size - 300)), (1,),
+             tuple(range(1, 301 - size))),
+            ("all-of-out", (range(1, size + 1), range(-size, 0)), (1,), ()),
+        ):
+            last = table[-1]
+            negative = table[:-1] + (range(1 - last.stop, 1 - last.start),)
+            cases.append((f"range-{name}-{size}-positive", table, head + (len(table),), expected))
+            cases.append((f"range-{name}-{size}-negative", negative, head + (-len(table),),
+                          expected))
+    return cases
+
+
+@pytest.mark.parametrize("table,codes,expected",
+                         [case[1:] for case in _long_seams()],
+                         ids=[case[0] for case in _long_seams()])
+def test_substitute_cancels_long_runs_by_either_regime(table, codes, expected):
     assert words._substitute(table, codes) == expected
     assert _substitute_letter_by_letter(table, codes, words.LETTER_BUDGET) == expected
 
