@@ -8,8 +8,6 @@ from .errors import (
 )
 from .words import (
     FreeAutomorphism,
-    GeneratorSymbol,
-    Letter,
     Word,
     abelianize,
     apply,
@@ -22,7 +20,6 @@ from .words import (
     multiply,
     parse_word,
     rank,
-    word,
 )
 from .groupoid import (
     Edge,
@@ -50,7 +47,6 @@ from .braid import (
     CheckResult,
     Report,
     braid_matrix,
-    braid_word,
     check_braid_relations,
     check_cross_validation,
     check_dehn_factorization,

@@ -10,10 +10,11 @@ three independent routes that must agree generator by generator:
   * the groupoid route     -- the lifted half twist pushed through
                               pi1.functor_to_automorphism.
 
-Braid words evaluate by composition folded from the right; the leftmost
-letter still acts first.  The inverse generator comes from the inverse
-lift on the groupoid side, so no general automorphism inversion is ever
-needed.
+Every product of maps -- a braid word, each side of a braid relation at
+the functor and the automorphism level, and the d-1 Dehn twists of a
+factorization -- is built by one right fold, `_product`; the first factor
+still acts first.  The inverse generator comes from the inverse lift on
+the groupoid side, so no general automorphism inversion is ever needed.
 
 A product of mapping classes written D_2 * D_3 * ... * D_d composes like
 functions: the rightmost factor acts first.  dehn_twist_product follows
@@ -24,10 +25,10 @@ twists along x[i,2], ..., x[i,d] reproduces the lifted half twist.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, partial
 
 from . import groupoid, pi1, words
-from .errors import SelfCheckError
+from .errors import BudgetExceededError, SelfCheckError
 from .words import FreeAutomorphism
 
 
@@ -55,10 +56,6 @@ class BraidWord:
 
     def __str__(self) -> str:
         return format_braid(self)
-
-
-def braid_word(d: int, n: int, letters) -> BraidWord:
-    return BraidWord(d, n, tuple(letters))
 
 
 def parse_braid(d: int, n: int, text: str) -> BraidWord:
@@ -160,18 +157,38 @@ def generator_action(d: int, n: int, letter: int) -> FreeAutomorphism:
     return pi1.functor_to_automorphism(groupoid.lifted_half_twist_inverse(d, n, -letter))
 
 
-def evaluate(w: BraidWord) -> FreeAutomorphism:
-    """Image of a braid word, folded from the right; the leftmost letter
-    still acts first.
+def _product(compose, maps):
+    """Product of a nonempty sequence of maps, the first factor acting first.
 
-    Composition is associative, so the fold order does not change the map.
-    Folding from the right, each letter pushes only the few rows its
-    generator moves through the accumulated table, and shares the rest.
+    `compose(f, g)` applies f first.  Composition is associative, so the
+    fold order does not change the map; folding from the right, each factor
+    pushes only the rows it moves through the product of the later factors
+    and shares the rest.  The letter budget bounds every row built on the
+    way, so a product near the budget is refused or not according to its
+    suffix products.
     """
-    action = words.identity_automorphism(w.d, w.n)
-    for letter in reversed(w.letters):
-        action = words.compose(generator_action(w.d, w.n, letter), action)
-    return action
+    maps = list(maps)
+    product = maps.pop()
+    while maps:
+        product = compose(maps.pop(), product)
+    return product
+
+
+def evaluate(w: BraidWord) -> FreeAutomorphism:
+    """Image of a braid word; the leftmost letter acts first.
+
+    A product refused by the letter budget names the word's length and
+    (d, n); a generator table refused by size already names (d, n).
+    """
+    d, n = w.d, w.n
+    maps = [generator_action(d, n, letter) for letter in w.letters]
+    maps.append(words.identity_automorphism(d, n))  # so the empty word has a product
+    try:
+        return _product(words.compose, maps)
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(
+            f"evaluating a braid word of {len(w)} letters at d={d}, n={n}: {exc}"
+        ) from None
 
 
 @lru_cache(maxsize=None)
@@ -183,8 +200,8 @@ def dehn_twist_product(d: int, n: int, i: int) -> FreeAutomorphism:
     """
     words.check_params(d, n)
     words.check_index(d, n, i, words.rank(d, n))
-    twists = (groupoid.dehn_twist(d, n, i, j) for j in range(d, 1, -1))
-    return pi1.functor_to_automorphism(reduce(groupoid.compose_functors, twists))
+    twists = [groupoid.dehn_twist(d, n, i, j) for j in range(d, 1, -1)]
+    return pi1.functor_to_automorphism(_product(groupoid.compose_functors, twists))
 
 
 def braid_matrix(w: BraidWord) -> tuple[tuple[int, ...], ...]:
@@ -248,7 +265,7 @@ def _relations(n: int):
 
 def check_braid_relations(d: int, n: int) -> Report:
     """Adjacent braid relations and far commutations, at both the functor
-    and the automorphism level; each side is a left fold over its letters."""
+    and the automorphism level; each side is a product of its letters."""
     words.check_params(d, n)
     levels = (
         ("functor", groupoid.compose_functors, partial(groupoid.lifted_half_twist, d, n),
@@ -256,7 +273,7 @@ def check_braid_relations(d: int, n: int) -> Report:
         ("automorphism", words.compose, partial(half_twist_action, d, n), _compare_automorphisms),
     )
     return Report(tuple(
-        compare(f"{name} {level}", reduce(compose, map(act, lhs)), reduce(compose, map(act, rhs)))
+        compare(f"{name} {level}", *(_product(compose, map(act, side)) for side in (lhs, rhs)))
         for name, lhs, rhs in _relations(n)
         for level, compose, act, compare in levels
     ))

@@ -21,14 +21,14 @@ accept any d >= 1, while the twist lifts need a genuine cover, d >= 2.
 Everything is immutable and pure.
 
 Validation happens at the boundary.  The public constructors `EdgePath(...)`
-and `GroupoidFunctor(...)`, and with them `path`, `edge_path`, `empty_path`,
-`parse_path` and every hand-written twist table, walk each step sequence
-(`_walk`) to check endpoints and free reduction; a functor's vertex map
-must also permute the interior vertices.  Values derived from validated
-ones -- images, composites, inverses and projections -- are valid by
-construction and are built through the private `_trusted` constructors
-without a second check.  A graph whose edge table would exceed
-`words.LETTER_BUDGET` is refused before anything is allocated for it.
+and `GroupoidFunctor(...)`, and with them `path`, `empty_path`, `parse_path`
+and every hand-written twist table, walk each step sequence (`_walk`) to
+check endpoints and free reduction; a functor's vertex map must also
+permute the interior vertices.  Values derived from validated ones --
+images, composites, inverses and projections -- are valid by construction
+and are built through the private `_trusted` constructors without a second
+check.  A graph whose edge table would exceed `words.LETTER_BUDGET` is
+refused before anything is allocated for it.
 """
 
 from __future__ import annotations
@@ -217,11 +217,6 @@ def path_compose(p: EdgePath, q: EdgePath) -> EdgePath:
 
 def path_invert(p: EdgePath) -> EdgePath:
     return EdgePath._trusted(p.d, p.n, p.end, tuple(-s for s in reversed(p.steps)))
-
-
-def edge_path(d: int, n: int, i: int, j: int, direction: int = 1) -> EdgePath:
-    """Single-step path along e[i,j]."""
-    return path(d, n, [(i, j, direction)])
 
 
 @dataclass(frozen=True)

@@ -73,10 +73,11 @@ def _x_loops(d: int, n: int) -> tuple[tuple[int, ...], ...]:
     """
     base = basepoint(d, n)
     loops = []
-    for (i, j) in words.symbols(d, n):
+    for i in range(1, n):
         tree = [level * d + 1 for level in range(i)]
-        steps = (*tree, i * d + j, -(i * d + j + 1), *(-c for c in reversed(tree)))
-        loops.append(EdgePath(d, n, base, steps).steps)
+        for j in range(1, d):
+            steps = (*tree, i * d + j, -(i * d + j + 1), *(-c for c in reversed(tree)))
+            loops.append(EdgePath(d, n, base, steps).steps)
     return tuple(loops)
 
 

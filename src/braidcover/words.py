@@ -7,11 +7,16 @@ cyclic with period d, and the out-of-basis symbol x[i,d] abbreviates
 stored word is a freely reduced word over the basis proper and equality is
 literal letter-by-letter comparison.
 
-Internally a letter is a signed integer code: x[i,j] has code
-(i-1)*(d-1) + j, its inverse the negated code.  An automorphism is stored
-only as its substitution table, the image codes of every basis generator;
-`apply`, `compose`, `equal` and `abelianize` read that table, and the Word
-views (`images`, `image(i, j)`) are built on demand.  The public
+A letter has one stored spelling, a signed integer code: x[i,j] has code
+(i-1)*(d-1) + j, its inverse the negated code.  Words are spelled from
+outside as (i, j, sign) triples (`reduce`, `generator`) or as text
+(`parse_word`), and read back as codes or text (`format_word`).  An
+automorphism is stored only as its substitution table, the image codes of
+every basis generator; `apply`, `compose`, `equal` and `abelianize` read
+that table, and the Word views (`images`, `image(i, j)`) are built on
+demand.  `compose(f, g)` applies f first; `braid` folds every longer
+product from the right, so that each factor pushes only the rows it moves
+through the product of the later ones (`_compose_rows`).  The public
 constructor stores the rows as tuples and checks the parameters and that
 every row is a reduced word over the basis, so equal maps have equal
 tables; values derived from validated ones (composites, the identity,
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, count, islice, pairwise
 from operator import add, ne, neg
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import BudgetExceededError, ParameterMismatchError
 
@@ -38,16 +43,6 @@ LETTER_BUDGET = 10**6
 # `_substitute`; shorter ones letter by letter.  The verify suites' images
 # stay below it (at most 56 letters at d = n = 20); long braid words pass it.
 SCAN_FROM = 128
-
-
-class GeneratorSymbol(NamedTuple):
-    i: int  # strand gap, 1 <= i <= n-1
-    j: int  # sheet, 1 <= j <= d-1
-
-
-class Letter(NamedTuple):
-    symbol: GeneratorSymbol
-    sign: int
 
 
 def rank(d: int, n: int) -> int:
@@ -98,15 +93,6 @@ def bounded_table(d: int, n: int, rows: Iterable[tuple[int, ...]]) -> tuple[tupl
     return tuple(table)
 
 
-@lru_cache(maxsize=None)
-def symbols(d: int, n: int) -> tuple[GeneratorSymbol, ...]:
-    """All basis symbols, ordered by (i, j)."""
-    check_params(d, n)
-    return tuple(
-        GeneratorSymbol(i, j) for i in range(1, n) for j in range(1, d)
-    )
-
-
 @dataclass(frozen=True)
 class Word:
     """Freely reduced word, stored as a tuple of signed basis codes."""
@@ -114,15 +100,6 @@ class Word:
     d: int
     n: int
     codes: tuple[int, ...]
-
-    @property
-    def letters(self) -> tuple[Letter, ...]:
-        span = self.d - 1
-        return tuple(
-            Letter(GeneratorSymbol((abs(c) - 1) // span + 1, (abs(c) - 1) % span + 1),
-                   1 if c > 0 else -1)
-            for c in self.codes
-        )
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -265,27 +242,18 @@ def _expand_symbol(d: int, n: int, i: int, j: int, sign: int) -> list[int]:
     return [base + t for t in range(1, d)]
 
 
-def _encode(d: int, n: int, letters: Iterable) -> list[int]:
-    """Accepts Letter values or (i, j, sign) triples."""
+def _encode(d: int, n: int, letters: Iterable[tuple[int, int, int]]) -> list[int]:
+    """Signed codes spelled by (i, j, sign) triples."""
     codes: list[int] = []
-    for item in letters:
-        if isinstance(item, Letter):
-            (i, j), sign = item
-        else:
-            i, j, sign = item
+    for i, j, sign in letters:
         codes.extend(_expand_symbol(d, n, i, j, sign))
     return codes
 
 
-def reduce(d: int, n: int, letters: Iterable) -> Word:
-    """Freely reduced word spelled by a letter sequence; idempotent."""
+def reduce(d: int, n: int, letters: Iterable[tuple[int, int, int]]) -> Word:
+    """Freely reduced word spelled by (i, j, sign) triples; idempotent."""
     check_params(d, n)
     return Word(d, n, _reduce_onto([], _encode(d, n, letters)))
-
-
-def word(d: int, n: int, letters: Iterable) -> Word:
-    """Alias of reduce(); the only way words are built."""
-    return reduce(d, n, letters)
 
 
 def empty_word(d: int, n: int) -> Word:

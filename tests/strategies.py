@@ -23,7 +23,7 @@ def words_with_params(draw, max_d: int = 5, max_n: int = 5, max_size: int = 64, 
     """One (d, n) pair plus `count` reduced words sharing it."""
     d, n = draw(params(max_d, max_n))
     ws = tuple(
-        words.word(d, n, draw(letter_triples(d, n, max_size))) for _ in range(count)
+        words.reduce(d, n, draw(letter_triples(d, n, max_size))) for _ in range(count)
     )
     return (d, n, *ws)
 

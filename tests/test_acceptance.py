@@ -145,7 +145,7 @@ def test_criterion_6_randomized_algebraic_laws():
             for _ in range(rng.randint(0, 48))
         ]
         raw = words._encode(d, n, letters)
-        if _schedule_reduce(rng, raw) != words.word(d, n, letters).codes:
+        if _schedule_reduce(rng, raw) != words.reduce(d, n, letters).codes:
             failures += 1
 
     # inverse round trips through braid evaluation

@@ -15,7 +15,6 @@ from braidcover.braid import (
     CheckResult,
     Report,
     braid_matrix,
-    braid_word,
     check_braid_relations,
     check_cross_validation,
     check_dehn_factorization,
@@ -122,7 +121,7 @@ def test_braid_word_validation():
 
 def test_parse_and_format_braid():
     bw = parse_braid(3, 4, "1 2 -1")
-    assert bw == braid_word(3, 4, (1, 2, -1))
+    assert bw == BraidWord(3, 4, (1, 2, -1))
     assert format_braid(bw) == "1 2 -1"
     with pytest.raises(ValueError):
         parse_braid(3, 4, "1 x")
@@ -133,7 +132,7 @@ def test_evaluate_generator_times_inverse_is_identity():
 
 
 def test_evaluate_empty_word_is_identity():
-    assert equal(evaluate(braid_word(4, 4, ())), identity_automorphism(4, 4))
+    assert equal(evaluate(BraidWord(4, 4, ())), identity_automorphism(4, 4))
 
 
 def test_evaluate_satisfies_the_braid_relation():
@@ -153,8 +152,8 @@ def test_evaluate_is_multiplicative(data):
     d, n, letters = data
     half = len(letters) // 2
     u, v = letters[:half], letters[half:]
-    lhs = evaluate(braid_word(d, n, letters))
-    rhs = compose(evaluate(braid_word(d, n, u)), evaluate(braid_word(d, n, v)))
+    lhs = evaluate(BraidWord(d, n, letters))
+    rhs = compose(evaluate(BraidWord(d, n, u)), evaluate(BraidWord(d, n, v)))
     assert equal(lhs, rhs)
 
 
@@ -162,7 +161,7 @@ def test_evaluate_is_multiplicative(data):
 @given(strategies.braid_letters_with_params(max_size=10))
 def test_evaluate_inverse_law(data):
     d, n, letters = data
-    bw = braid_word(d, n, letters)
+    bw = BraidWord(d, n, letters)
     assert equal(compose(evaluate(bw), evaluate(bw.inverse())), identity_automorphism(d, n))
 
 
@@ -172,7 +171,7 @@ def test_evaluate_equals_the_left_fold(data):
     d, n, letters = data
     actions = (generator_action(d, n, s) for s in letters)
     left = functools.reduce(compose, actions, identity_automorphism(d, n))
-    got = evaluate(braid_word(d, n, letters))
+    got = evaluate(BraidWord(d, n, letters))
     assert got.table == left.table
     assert all(type(row) is tuple for row in got.table)
 
@@ -180,7 +179,7 @@ def test_evaluate_equals_the_left_fold(data):
 @given(strategies.braid_letters_with_params(max_n=6, max_size=6), st.integers(0, 10**6))
 def test_compose_shares_the_rows_a_generator_fixes(data, pick):
     d, n, letters = data
-    acc = evaluate(braid_word(d, n, letters))
+    acc = evaluate(BraidWord(d, n, letters))
     i, sign = divmod(pick % (2 * (n - 1)), 2)
     g = generator_action(d, n, (i + 1) * (1 - 2 * sign))
     fixed = [k for k, row in enumerate(g.table) if row == (k + 1,)]
@@ -211,7 +210,7 @@ def test_functor_route_evaluation_matches_the_closed_form(data):
         composite = groupoid.compose_functors(composite, lift)
     assert equal(
         pi1.functor_to_automorphism(composite),
-        evaluate(braid_word(d, n, letters)),
+        evaluate(BraidWord(d, n, letters)),
     )
 
 
@@ -260,10 +259,31 @@ def test_twist_product_swaps_vertices_only_for_even_sheet_counts(d, expect_swap)
     assert lift.vertex(groupoid.interior(1)) == groupoid.interior(2)
 
 
+def test_relation_sides_and_the_twist_product_fold_from_the_right(monkeypatch):
+    # Folded from the right, every composition takes one cached factor
+    # first; a left fold would pass the composite of the earlier factors.
+    factors = [f for i in range(1, 5)
+               for f in (half_twist_action(4, 5, i), groupoid.lifted_half_twist(4, 5, i))]
+    factors += [groupoid.dehn_twist(5, 3, 1, j) for j in range(2, 6)]
+    firsts = []
+    for module, name in ((words, "compose"), (groupoid, "compose_functors")):
+        def first_noted(f, g, compose=getattr(module, name)):
+            firsts.append(f)
+            return compose(f, g)
+        monkeypatch.setattr(module, name, first_noted)
+    dehn_twist_product.cache_clear()
+    assert check_braid_relations(4, 5).all_passed
+    assert equal(dehn_twist_product(5, 3, 1), half_twist_action(5, 3, 1))
+    # 3 braid relations of two compositions a side and 3 far commutations
+    # of one, at two levels; then 3 compositions of the 4 Dehn twists
+    assert len(firsts) == 2 * 2 * (3 * 2 + 3 * 1) + 3
+    assert all(any(f is factor for factor in factors) for f in firsts)
+
+
 # -- abelianized layer -------------------------------------------------------------------
 
 def test_matrix_of_the_empty_braid():
-    assert braid_matrix(braid_word(3, 3, ())) == identity_matrix(4)
+    assert braid_matrix(BraidWord(3, 3, ())) == identity_matrix(4)
 
 
 def test_matrix_of_one_generator():
@@ -280,9 +300,9 @@ def test_matrix_braid_relation():
 def test_matrix_is_multiplicative_and_unimodular(data):
     d, n, letters = data
     half = len(letters) // 2
-    whole = braid_matrix(braid_word(d, n, letters))
-    left = braid_matrix(braid_word(d, n, letters[:half]))
-    right = braid_matrix(braid_word(d, n, letters[half:]))
+    whole = braid_matrix(BraidWord(d, n, letters))
+    left = braid_matrix(BraidWord(d, n, letters[:half]))
+    right = braid_matrix(BraidWord(d, n, letters[half:]))
     assert whole == matrix_multiply(left, right)
     assert matrix_determinant(whole) in (1, -1)
 

@@ -163,6 +163,13 @@ def test_word_growth_past_the_budget_exits_one(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "eval", "--d", "3", "--n", "3", "--word", "1 -2 " * 10)
     assert (code, out) == (1, "")
     assert "result exceeds the letter budget of 12" in err
+    assert err.startswith("error: evaluating a braid word of 20 letters at d=3, n=3: ")
+    # rank 4 at d = n = 3: a budget of 16 lets the 16-entry matrix through
+    monkeypatch.setattr(words, "LETTER_BUDGET", 16)
+    code, out, err = run_cli(capsys, "matrix", "--d", "3", "--n", "3", "--word", "1 -2 " * 10)
+    assert (code, out) == (1, "")
+    assert err == ("error: evaluating a braid word of 20 letters at d=3, n=3: "
+                   "result exceeds the letter budget of 16\n")
 
 
 def test_refusal_near_the_budget_follows_the_suffix_products(capsys, monkeypatch):
@@ -182,6 +189,8 @@ def test_refusal_near_the_budget_follows_the_suffix_products(capsys, monkeypatch
         w = braid.BraidWord(3, 3, tuple(int(t) for t in word.split()))
         if code:
             assert f"result exceeds the letter budget of {budget}" in err
+            prefix = f"error: evaluating a braid word of {len(w)} letters at d=3, n=3: "
+            assert err.startswith(prefix)
             left_fold(w)
         else:
             assert err == ""

@@ -17,7 +17,6 @@ from braidcover.groupoid import (
     base_half_twist,
     compose_functors,
     dehn_twist,
-    edge_path,
     empty_path,
     format_path,
     identity_functor,
@@ -45,14 +44,14 @@ def p(d, n, text):
 # -- path arithmetic ------------------------------------------------------------
 
 def test_path_compose_chains_two_edges():
-    got = path_compose(edge_path(3, 2, 0, 1), edge_path(3, 2, 1, 1))
+    got = path_compose(path(3, 2, [(0, 1, 1)]), path(3, 2, [(1, 1, 1)]))
     assert got == p(3, 2, "e[0,1]*e[1,1]")
     assert got.start == left_boundary(1)
     assert got.end == interior(2)
 
 
 def test_path_compose_cancels_inverse_pair():
-    got = path_compose(edge_path(3, 2, 1, 1), path_invert(edge_path(3, 2, 1, 1)))
+    got = path_compose(path(3, 2, [(1, 1, 1)]), path_invert(path(3, 2, [(1, 1, 1)])))
     assert got == empty_path(3, 2, interior(1))
 
 
@@ -63,7 +62,7 @@ def test_path_invert_reverses_steps():
 
 def test_path_compose_rejects_endpoint_mismatch():
     with pytest.raises(EndpointMismatchError):
-        path_compose(edge_path(3, 2, 0, 1), edge_path(3, 2, 0, 1))
+        path_compose(path(3, 2, [(0, 1, 1)]), path(3, 2, [(0, 1, 1)]))
 
 
 def test_path_rejects_incompatible_steps():
@@ -207,7 +206,7 @@ def test_apply_functor_moves_empty_paths():
 
 def test_apply_functor_rejects_mixed_parameters():
     with pytest.raises(ParameterMismatchError):
-        apply_functor(lifted_half_twist(3, 3, 1), edge_path(3, 2, 0, 1))
+        apply_functor(lifted_half_twist(3, 3, 1), path(3, 2, [(0, 1, 1)]))
 
 
 def test_apply_functor_preserves_composition_and_inversion():
@@ -357,7 +356,7 @@ def test_projection_intertwines_on_random_paths(dn, seed):
 def test_functor_constructor_requires_endpoint_consistency():
     good = identity_functor(3, 2)
     broken = list(good.table)
-    broken[0] = edge_path(3, 2, 1, 1).steps  # wrong endpoints for edge e[0,1]
+    broken[0] = path(3, 2, [(1, 1, 1)]).steps  # wrong endpoints for edge e[0,1]
     with pytest.raises(EndpointMismatchError):
         GroupoidFunctor(3, 2, tuple(broken))
 
@@ -500,7 +499,7 @@ def test_derived_paths_and_functors_pass_the_public_constructors(dn, seed):
         _assert_valid_path(derived)
     letters = [(rng.randint(1, n - 1), rng.randint(1, d), rng.choice((1, -1)))
                for _ in range(rng.randint(0, 12))]
-    loop = pi1.word_to_loop(words.word(d, n, letters))
+    loop = pi1.word_to_loop(words.reduce(d, n, letters))
     _assert_valid_path(loop)
     _assert_valid_path(apply_functor(F, loop))
 
@@ -576,7 +575,7 @@ def test_parse_path_rejects_bad_tokens(bad):
 
 def test_format_path_spells_two_digit_indices():
     # edge code i*d + j: level 11, sheet 12 at d = 12 is code 144
-    q = edge_path(12, 12, 11, 12)
+    q = path(12, 12, [(11, 12, 1)])
     assert q.steps == (144,)
     assert format_path(q) == "e[11,12]"
     assert format_path(path_invert(q)) == "e[11,12]^-1"

@@ -11,13 +11,13 @@ from braidcover.groupoid import (
     apply_functor,
     compose_functors,
     dehn_twist,
-    edge_path,
     empty_path,
     identity_functor,
     interior,
     lifted_half_twist,
     lifted_half_twist_inverse,
     parse_path,
+    path,
     path_compose,
     path_invert,
 )
@@ -99,7 +99,7 @@ def test_edge_words_hold_the_inverse_prefixes():
     for code, word in enumerate(_edge_words(d, n), start=1):
         level, below = divmod(code - 1, d)
         letters = [(level, t, -1) for t in range(below, 0, -1)] if 0 < level < n else []
-        assert tuple(word) == words.word(d, n, letters).codes
+        assert tuple(word) == words.reduce(d, n, letters).codes
 
 
 # -- defining paths and loops -------------------------------------------------------
@@ -168,7 +168,8 @@ def test_loops_are_closed_and_reduced(d, n):
 def test_basis_loops_round_trip_to_single_letters():
     assert loop_to_word(_geometric_loop(3, 3, 2, 1, 2)) == parse_word(3, 3, "x[2,1]")
     base = basepoint(4, 4)
-    for (i, j), steps in zip(words.symbols(4, 4), _x_loops(4, 4)):
+    symbols = [(i, j) for i in range(1, 4) for j in range(1, 4)]
+    for (i, j), steps in zip(symbols, _x_loops(4, 4)):
         assert loop_to_word(EdgePath(4, 4, base, steps)) == parse_word(4, 4, f"x[{i},{j}]")
 
 
@@ -177,7 +178,7 @@ def test_prefix_loops_rewrite_to_prefix_products(d, n):
     # y[i,j] = p_i * e[i,1] * e[i,j]^-1 * p_i^-1 = x[i,1]*...*x[i,j-1]
     for i in range(1, n):
         for j in range(1, d + 1):
-            expected = words.word(d, n, [(i, t, 1) for t in range(1, j)])
+            expected = words.reduce(d, n, [(i, t, 1) for t in range(1, j)])
             assert loop_to_word(_geometric_loop(d, n, i, 1, j)) == expected
 
 
@@ -187,7 +188,7 @@ def test_empty_loop_rewrites_to_the_empty_word():
 
 def test_loop_to_word_rejects_open_paths():
     with pytest.raises(ValueError):
-        loop_to_word(edge_path(3, 3, 0, 1))
+        loop_to_word(path(3, 3, [(0, 1, 1)]))
 
 
 def test_loop_to_word_respects_the_letter_budget(monkeypatch):

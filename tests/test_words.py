@@ -29,7 +29,7 @@ from braidcover.words import (
     multiply,
     parse_word,
     rank,
-    word,
+    reduce,
 )
 
 import strategies
@@ -39,21 +39,26 @@ def w(d, n, text):
     return parse_word(d, n, text)
 
 
+def _letters(u):
+    # (i, j, sign) triples of a word, read back from its text, not its codes
+    return words._parse_tokens(format_word(u), "x") if u else []
+
+
 # -- reduce -------------------------------------------------------------------
 
 def test_reduce_cancels_adjacent_inverse_pair():
-    assert word(3, 2, [(1, 1, 1), (1, 1, -1)]) == empty_word(3, 2)
+    assert reduce(3, 2, [(1, 1, 1), (1, 1, -1)]) == empty_word(3, 2)
 
 
 def test_reduce_cancels_inner_pair():
-    got = word(3, 2, [(1, 1, 1), (1, 2, 1), (1, 2, -1), (1, 1, 1)])
+    got = reduce(3, 2, [(1, 1, 1), (1, 2, 1), (1, 2, -1), (1, 1, 1)])
     assert got == w(3, 2, "x[1,1]*x[1,1]")
 
 
 @given(strategies.words_with_params())
 def test_reduce_is_idempotent(data):
     d, n, u = data
-    assert word(d, n, [(s.i, s.j, sign) for (s, sign) in u.letters]) == u
+    assert reduce(d, n, _letters(u)) == u
 
 
 def _schedule_reduce(rng, codes):
@@ -72,7 +77,7 @@ def _schedule_reduce(rng, codes):
 def test_reduce_is_confluent(dn, data, seed):
     d, n = dn
     letters = data.draw(strategies.letter_triples(d, n, max_size=32, max_sheet=d))
-    u = word(d, n, letters)
+    u = reduce(d, n, letters)
     raw = words._encode(d, n, letters)
     assert _schedule_reduce(random.Random(seed), raw) == u.codes
 
@@ -348,9 +353,8 @@ def _exponent_matrix(f: FreeAutomorphism):
     rows = []
     for img in f.images:
         counts = [0] * r
-        for letter in img.letters:
-            idx = (letter.symbol.i - 1) * (f.d - 1) + letter.symbol.j - 1
-            counts[idx] += letter.sign
+        for i, j, sign in _letters(img):
+            counts[(i - 1) * (f.d - 1) + j - 1] += sign
         rows.append(tuple(counts))
     return tuple(rows)
 
@@ -408,23 +412,16 @@ def test_out_of_range_symbol_rejected():
     with pytest.raises(ValueError):
         generator(3, 3, 3, 1)  # i must be <= n-1
     with pytest.raises(ValueError):
-        word(3, 3, [(0, 1, 1)])
+        reduce(3, 3, [(0, 1, 1)])
 
 
 def test_letter_budget_guard(monkeypatch):
     monkeypatch.setattr(words, "LETTER_BUDGET", 8)
     with pytest.raises(BudgetExceededError):
-        word(3, 2, [(1, 1, 1)] * 9)
+        reduce(3, 2, [(1, 1, 1)] * 9)
     f = braid.half_twist_action(3, 2, 1)
     with pytest.raises(BudgetExceededError):
         apply(f, Word(3, 2, (2,) * 8))
-
-
-def test_reduce_accepts_letter_objects():
-    from braidcover.words import GeneratorSymbol, Letter
-
-    letters = [Letter(GeneratorSymbol(1, 1), 1), Letter(GeneratorSymbol(1, 2), -1)]
-    assert words.reduce(3, 2, letters) == w(3, 2, "x[1,1]*x[1,2]^-1")
 
 
 def test_image_lookup_rejects_out_of_basis_symbols():
