@@ -22,19 +22,24 @@ Everything is immutable and pure.
 
 Validation happens at the boundary.  The public constructors `EdgePath(...)`
 and `GroupoidFunctor(...)`, and with them `path`, `empty_path`, `parse_path`
-and every hand-written twist table, walk each step sequence (`_walk`) to
-check endpoints and free reduction; a functor's vertex map must also
-permute the interior vertices.  Values derived from validated ones --
-images, composites, inverses and projections -- are valid by construction
-and are built through the private `_trusted` constructors without a second
-check.  A graph whose edge table would exceed `words.LETTER_BUDGET` is
-refused before anything is allocated for it.
+and every hand-written twist table, walk step sequences (`_walk`) to check
+endpoints and free reduction; a functor's vertex map must also permute the
+interior vertices.  A functor walks, in code order, the rows that differ from
+the identity's and all rows at the two levels around each vertex it moves; any
+other row is an identity row between fixed vertices, which is valid, so the
+first row refused is the one a full walk refuses first.  Values derived from
+validated ones -- images, composites, inverses, projections and a twist's deck
+translates -- are valid by construction and are built through the private
+`_trusted` constructors without a second check.  A graph whose edge table
+would exceed `words.LETTER_BUDGET` is refused before anything is allocated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress, count
+from operator import ne
 from typing import Iterable, NamedTuple
 
 from .errors import EndpointMismatchError, SelfCheckError
@@ -224,9 +229,9 @@ class GroupoidFunctor:
     """Self-functor given by its edge substitution table alone.
 
     Construction checks that the vertex map read off the rows permutes the
-    interior vertices, then walks each row from the image of its edge's
-    source and checks that it is a reduced path ending at the image of the
-    edge's target; so a boundary edge's row begins at that boundary vertex.
+    interior vertices, then walks each row that can fail (module docstring)
+    from the image of its edge's source: it must be a reduced path ending at
+    the image of the edge's target, so a boundary row begins at its vertex.
     """
 
     d: int
@@ -249,7 +254,11 @@ class GroupoidFunctor:
         if sorted(moved) != list(verts[:n]):
             raise EndpointMismatchError("e[i,1] images must begin at distinct interior vertices")
         image_of = dict(zip(verts, (*moved, *verts[n:])))
-        for code, ((source, target), row) in enumerate(zip(ends, table), start=1):
+        walked = {code for v, image in zip(verts, moved) if image != v
+                  for code in range((v.level - 1) * d + 1, (v.level + 1) * d + 1)}
+        walked.update(compress(count(1), map(ne, table, identity_functor(d, n).table)))
+        for code in sorted(walked):
+            (source, target), row = ends[code - 1], table[code - 1]
             end = _walk(d, n, image_of[source], row)
             if end != image_of[target]:
                 raise EndpointMismatchError(
@@ -282,7 +291,7 @@ class GroupoidFunctor:
 def apply_functor(F: GroupoidFunctor, p: EdgePath) -> EdgePath:
     """Image of a path: expand step by step, then freely reduce."""
     _same_params(F, p)
-    return EdgePath._trusted(F.d, F.n, F.vertex(p.start), _substitute(F.table, p.steps))
+    return EdgePath._trusted(F.d, F.n, F.vertex(p.start), _substitute(F.table, p.steps, {}))
 
 
 def compose_functors(F: GroupoidFunctor, G: GroupoidFunctor) -> GroupoidFunctor:
@@ -361,27 +370,27 @@ def dehn_twist(d: int, n: int, i: int, j: int) -> GroupoidFunctor:
     """Twist along the standard loop with indices (i, j), sheet mod d.
 
     Only the edge images are stored; the interior swap i <-> i+1 is read
-    off them, as for every functor.
+    off them, as for every functor.  The twist at sheet 1 is written out and
+    validated; with s the deck shift e[l,k] -> e[l,k+1], a graph automorphism
+    fixing every interior vertex, the twist at sheet j is its conjugate by
+    s^(j-1) and valid by construction: row s^(j-1)(c) is s^(j-1) of row c,
+    for the rows at levels i-1..i+1, which name only edges there.
     """
     check_params(d, n)
     check_index(d, n, i, (n + 1) * d)
-    jj = _wrap(d, j)
-    j1 = _wrap(d, j + 1)
+    if j != 1:
+        first, band = dehn_twist(d, n, i, 1).table, range((i - 1) * d + 1, (i + 2) * d + 1)
+        shift = {c: c - (c - 1) % d + (c + j - 2) % d for c in band}
+        shift.update([(-c, -t) for c, t in shift.items()])
+        rows = {shift[c]: tuple(map(shift.__getitem__, first[c - 1])) for c in band}
+        shifted = tuple(map(rows.__getitem__, band))
+        return GroupoidFunctor._trusted(d, n, first[:band[0] - 1] + shifted + first[band[-1]:])
     images: dict[Edge, list[tuple[int, int, int]]] = {}
     for k in range(1, d + 1):
-        if k == jj:
-            images[Edge(i - 1, k)] = [(i - 1, k, 1), (i, j1, 1)]
-            images[Edge(i, k)] = [(i, j1, -1)]
-        elif k == j1:
-            images[Edge(i - 1, k)] = [(i - 1, k, 1), (i, jj, 1)]
-            images[Edge(i, k)] = [(i, jj, -1)]
-        else:
-            images[Edge(i - 1, k)] = [(i - 1, k, 1), (i, jj, 1)]
-            images[Edge(i, k)] = [(i, jj, -1), (i, k, 1), (i, jj, -1)]
-        if k == j1:
-            images[Edge(i + 1, k)] = [(i, j1, 1), (i + 1, k, 1)]
-        else:
-            images[Edge(i + 1, k)] = [(i, jj, 1), (i + 1, k, 1)]
+        near = 2 if k == 1 else 1  # e[i,1] and e[i,2] swap; the other sheets pass e[i,1]
+        images[Edge(i - 1, k)] = [(i - 1, k, 1), (i, near, 1)]
+        images[Edge(i, k)] = [(i, near, -1)] if k <= 2 else [(i, 1, -1), (i, k, 1), (i, 1, -1)]
+        images[Edge(i + 1, k)] = [(i, 2 if k == 2 else 1, 1), (i + 1, k, 1)]
     return _functor(d, n, images)
 
 
@@ -416,7 +425,7 @@ def _collapse_table(d: int, n: int) -> tuple[tuple[int, ...], ...]:
 def project(p: EdgePath) -> EdgePath:
     """Collapse sheets: e[i,j] -> e[i], boundary columns merge to 0 and n+1."""
     start = Vertex(p.start.level, min(p.start.sheet, 1))
-    return EdgePath._trusted(1, p.n, start, _substitute(_collapse_table(p.d, p.n), p.steps))
+    return EdgePath._trusted(1, p.n, start, _substitute(_collapse_table(p.d, p.n), p.steps, {}))
 
 
 @lru_cache(maxsize=None)
@@ -439,15 +448,16 @@ def _is_lift(lift: GroupoidFunctor, base: GroupoidFunctor) -> bool:
     transformation that moves every sheet up by one.
     """
     d, table = lift.d, lift.table
-    collapse = _collapse_table(d, lift.n)
+    collapse, inverted = _collapse_table(d, lift.n), {}
     # both tables hold validated, nonempty rows, and on the base a step's
     # code fixes the level it begins at, so equal collapsed rows mean the
     # projected image paths are equal, start vertices included
-    if any(_substitute(collapse, row) != base.table[k // d] for k, row in enumerate(table)):
+    if any(_substitute(collapse, row, inverted) != base.table[k // d]
+           for k, row in enumerate(table)):
         return False
-    deck = _deck_table(d, lift.n)
+    deck, inverted = _deck_table(d, lift.n), {}
     return all(
-        table[shifted - 1] == _substitute(deck, steps)
+        table[shifted - 1] == _substitute(deck, steps, inverted)
         for ((shifted,), steps) in zip(deck, table)
     )
 

@@ -61,7 +61,7 @@ def loop_to_word(p: EdgePath) -> Word:
     base = basepoint(d, n)
     if p.start != base or p.end != base:
         raise ValueError(f"loop must start and end at {base}, got {p.start} -> {p.end}")
-    return Word(d, n, _substitute(_edge_words(d, n), p.steps))
+    return Word(d, n, _substitute(_edge_words(d, n), p.steps, {}))
 
 
 @lru_cache(maxsize=None)
@@ -85,7 +85,7 @@ def word_to_loop(w: Word) -> EdgePath:
     """Concatenation of the defining x-loops, one per letter, reduced."""
     # a product of validated basepoint loops is a valid basepoint loop
     return EdgePath._trusted(
-        w.d, w.n, basepoint(w.d, w.n), _substitute(_x_loops(w.d, w.n), w.codes)
+        w.d, w.n, basepoint(w.d, w.n), _substitute(_x_loops(w.d, w.n), w.codes, {})
     )
 
 
@@ -99,10 +99,10 @@ def functor_to_automorphism(F: GroupoidFunctor) -> FreeAutomorphism:
     letter budget is refused after O(budget) work.
     """
     d, n = F.d, F.n
-    table, edge_words = F.table, _edge_words(d, n)
+    table, edge_words, inverted = F.table, _edge_words(d, n), {}
 
     def word(code: int) -> tuple[int, ...]:
-        return _substitute(edge_words, table[code - 1])
+        return _substitute(edge_words, table[code - 1], inverted)
 
     def rows():
         prefix, first = (), word(1)  # first = W(e[i-1,1]), the last factor of P_i

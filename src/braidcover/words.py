@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, count, islice, pairwise
-from operator import add, ne, neg
+from operator import add, neg
 from typing import Iterable
 
 from .errors import BudgetExceededError, ParameterMismatchError
@@ -140,11 +140,13 @@ def _reduce_onto(out: list[int], codes: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _substitute(table, codes: Iterable[int]) -> tuple[int, ...]:
+def _substitute(table, codes: Iterable[int], inverted: dict) -> tuple[int, ...]:
     """Freely reduced image of a code sequence under a letter substitution.
 
     `table[c - 1]` holds the image codes of code c > 0, a freely reduced
-    tuple or range; a negative code contributes the inverse of its image.
+    tuple or range; a negative code contributes the inverse of its image,
+    built on first use and kept in the dict `inverted` by negative code, so
+    a caller passes one dict to all its calls through the same table.
     Since each image is reduced, only its head can cancel, against the tail
     of the output so far: the image is spliced at that seam, and when its
     first letter does not cancel it is appended whole.
@@ -165,47 +167,29 @@ def _substitute(table, codes: Iterable[int]) -> tuple[int, ...]:
     out: list[int] = []
     budget = LETTER_BUDGET
     for c in codes:
-        if c > 0:
-            img = table[c - 1]
-            if out and img and out[-1] == -img[0]:
-                m = len(img)
-                if m > SCAN_FROM:
-                    # k: the first i >= 1 with out[-1 - i] + img[i] != 0
-                    k = next(
-                        compress(count(1), map(add, islice(reversed(out), 1, None),
-                                               islice(img, 1, None))),
-                        min(len(out), m),
-                    )
-                    del out[len(out) - k:]
-                else:
-                    out.pop()
-                    k = 1
-                    while k < m and out and out[-1] == -img[k]:
-                        out.pop()
-                        k += 1
-                out.extend(img[k:])
-            else:
-                out.extend(img)
-        else:
+        img = table[c - 1] if c > 0 else inverted.get(c)
+        if img is None:
             img = table[-c - 1]
-            k = len(img)  # img[:k] is still to be appended, inverted
-            if k > SCAN_FROM:
-                # j: the first i with out[-1 - i] != img[-1 - i]
-                j = next(compress(count(), map(ne, reversed(out), reversed(img))),
-                         min(len(out), k))
-                del out[len(out) - j:]
-                out.extend(map(neg, reversed(img[:k - j])))
+            img = inverted[c] = (-img[0],) if len(img) == 1 else tuple(map(neg, reversed(img)))
+        if out and img and out[-1] == -img[0]:
+            m = len(img)
+            if m > SCAN_FROM:
+                # k: the first i >= 1 with out[-1 - i] + img[i] != 0
+                k = next(
+                    compress(count(1), map(add, islice(reversed(out), 1, None),
+                                           islice(img, 1, None))),
+                    min(len(out), m),
+                )
+                del out[len(out) - k:]
             else:
-                while k and out and out[-1] == img[k - 1]:
+                out.pop()
+                k = 1
+                while k < m and out and out[-1] == -img[k]:
                     out.pop()
-                    k -= 1
-                if k == 1:
-                    # one-letter images (the collapse and deck tables, most
-                    # functor rows) are common, and map and reversed would cost
-                    # more than the letter
-                    out.append(-img[0])
-                elif k:
-                    out.extend(map(neg, reversed(img[:k])))
+                    k += 1
+            out.extend(img[k:])
+        else:
+            out.extend(img)
         if len(out) > budget:
             raise BudgetExceededError(f"result exceeds the letter budget of {budget}")
     return tuple(out)
@@ -218,10 +202,11 @@ def _compose_rows(rows, table) -> tuple[tuple[int, ...], ...]:
     the rows a map leaves fixed are shared with `table`, not rebuilt.  The
     rows of `table` therefore become rows of the result: it must hold
     tuples, as every automorphism and functor table does (unlike the range
-    rows of `pi1._edge_words`).
+    rows of `pi1._edge_words`).  Each inverted row is built once per call.
     """
+    inverted: dict[int, tuple[int, ...]] = {}
     return tuple(
-        table[row[0] - 1] if len(row) == 1 and row[0] > 0 else _substitute(table, row)
+        table[row[0] - 1] if len(row) == 1 and row[0] > 0 else _substitute(table, row, inverted)
         for row in rows
     )
 
@@ -352,7 +337,7 @@ def identity_automorphism(d: int, n: int) -> FreeAutomorphism:
 def apply(f: FreeAutomorphism, w: Word) -> Word:
     """Apply f letter by letter; homomorphic by construction."""
     _same_params(f, w)
-    return Word(f.d, f.n, _substitute(f.table, w.codes))
+    return Word(f.d, f.n, _substitute(f.table, w.codes, {}))
 
 
 def compose(f: FreeAutomorphism, g: FreeAutomorphism) -> FreeAutomorphism:
@@ -426,18 +411,23 @@ def matrix_determinant(m) -> int:
 # followed by `^-1`, tokens joined by `*`.  Words use `x` (the basis), paths
 # `e` (the edges, see `groupoid`); the empty word renders as `1`.
 
-def _format_codes(codes: tuple[int, ...], prefix: str, span: int, first: int) -> str:
-    """Spell signed codes as `prefix[i,j]` tokens joined by `*`.
+class _Spelling(dict):
+    """`prefix[i,j]` tokens by signed code, each spelled on its first use:
+    code c > 0 is the token with i = (c-1) // span + first and
+    j = (c-1) % span + 1, and -c is its inverse."""
 
-    Code c > 0 is the token with i = (c-1) // span + first and
-    j = (c-1) % span + 1; -c is its inverse.  Each distinct code is spelled
-    once per call.
-    """
-    spelled = {}
-    for c in set(codes):
-        i, j = divmod(abs(c) - 1, span)
-        spelled[c] = f"{prefix}[{i + first},{j + 1}]" + ("^-1" if c < 0 else "")
-    return "*".join(map(spelled.__getitem__, codes))
+    def __init__(self, prefix: str, span: int, first: int) -> None:
+        self.prefix, self.span, self.first = prefix, span, first
+
+    def __missing__(self, c: int) -> str:
+        i, j = divmod(abs(c) - 1, self.span)
+        token = self[c] = f"{self.prefix}[{i + self.first},{j + 1}]" + ("^-1" if c < 0 else "")
+        return token
+
+
+def _format_codes(codes: tuple[int, ...], prefix: str, span: int, first: int) -> str:
+    """Spell signed codes as `_Spelling` tokens joined by `*`, in one pass."""
+    return "*".join(map(_Spelling(prefix, span, first).__getitem__, codes))
 
 
 def _parse_tokens(text: str, prefix: str) -> list[tuple[int, int, int]]:

@@ -185,6 +185,38 @@ def test_dehn_twist_sheet_wraps():
     assert dehn_twist(3, 2, 1, 5) == dehn_twist(3, 2, 1, 2)
 
 
+def _hand_written_dehn_twist(d, n, i, j):
+    """The twist along (i, j) written out for every sheet, through the
+    validating constructor: the reference for the deck-shifted twists."""
+    jj, j1 = groupoid._wrap(d, j), groupoid._wrap(d, j + 1)
+    images = {}
+    for k in range(1, d + 1):
+        if k == jj:
+            images[Edge(i - 1, k)] = [(i - 1, k, 1), (i, j1, 1)]
+            images[Edge(i, k)] = [(i, j1, -1)]
+        elif k == j1:
+            images[Edge(i - 1, k)] = [(i - 1, k, 1), (i, jj, 1)]
+            images[Edge(i, k)] = [(i, jj, -1)]
+        else:
+            images[Edge(i - 1, k)] = [(i - 1, k, 1), (i, jj, 1)]
+            images[Edge(i, k)] = [(i, jj, -1), (i, k, 1), (i, jj, -1)]
+        if k == j1:
+            images[Edge(i + 1, k)] = [(i, j1, 1), (i + 1, k, 1)]
+        else:
+            images[Edge(i + 1, k)] = [(i, jj, 1), (i + 1, k, 1)]
+    return groupoid._functor(d, n, images)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_deck_shifted_twists_match_the_hand_written_formula(d):
+    for n in range(2, 8):
+        for i in range(1, n):
+            for j in range(-2, d + 3):
+                F = dehn_twist(d, n, i, j)
+                assert F.table == _hand_written_dehn_twist(d, n, i, j).table, (d, n, i, j)
+                assert GroupoidFunctor(d, n, F.table) == F
+
+
 # -- functor application and composition -------------------------------------------
 
 def test_apply_identity_functor():
@@ -379,11 +411,16 @@ def test_functor_constructor_requires_endpoint_consistency():
         ((4, (1,)), EndpointMismatchError, "distinct interior"),  # v[1] -> v0[1], on the boundary
         ((4, (-1,)), EndpointMismatchError, "ends at"),  # v[1] stays, but the row ends at v0[1]
         ((7, (4,)), EndpointMismatchError, "distinct interior"),  # v[2] -> v[1], where v[1] goes
+        # a third entry names the functor whose row is replaced instead.  The
+        # lifted half twist sends v[2] to v[1], so its row of e[2,2] (code 8)
+        # cannot be the identity's; a row equal to the identity's is walked
+        # only at the two levels around a moved vertex, as this one is
+        ((8, (8,), lifted_half_twist(3, 2, 1)), EndpointMismatchError, "begins at"),
     ],
 )
 def test_functor_constructor_validates_every_row(row, error, match):
-    code, steps = row
-    good = identity_functor(3, 2)
+    code, steps, *functor = row
+    good = functor[0] if functor else identity_functor(3, 2)
     broken = good.table[: code - 1] + (steps,) + good.table[code:]
     with pytest.raises(error, match=match):
         GroupoidFunctor(3, 2, broken)

@@ -221,24 +221,62 @@ def substitutions(draw, long_rows=st.booleans()):
 def test_substitute_matches_the_letter_by_letter_reference(case, budget):
     table, codes = case
     expected = _substitute_letter_by_letter(table, codes, words.LETTER_BUDGET)
-    assert words._substitute(table, codes) == expected
+    assert words._substitute(table, codes, {}) == expected
     # under a small budget both refuse exactly the same inputs
     with mock.patch.object(words, "LETTER_BUDGET", budget):
         try:
             _substitute_letter_by_letter(table, codes, budget)
         except BudgetExceededError:
             with pytest.raises(BudgetExceededError):
-                words._substitute(table, codes)
+                words._substitute(table, codes, {})
         else:
-            assert words._substitute(table, codes) == expected
+            assert words._substitute(table, codes, {}) == expected
 
 
 @settings(max_examples=300)
 @given(substitutions(long_rows=st.just(True)))
 def test_substitute_matches_the_reference_across_long_seams(case):
     table, codes = case
-    assert words._substitute(table, codes) == _substitute_letter_by_letter(
+    assert words._substitute(table, codes, {}) == _substitute_letter_by_letter(
         table, codes, words.LETTER_BUDGET)
+
+
+@st.composite
+def composites(draw):
+    """A table and the rows of one composite through it.  A few negative
+    codes come back within a row and across rows, so their images, short
+    and long, are inverted once and used many times."""
+    table, codes = draw(substitutions(long_rows=st.sampled_from((False, True, True))))
+    repeated = draw(st.lists(st.integers(1, len(table)), min_size=1, max_size=2))
+    code = st.one_of(
+        st.sampled_from([-c for c in repeated]),
+        st.integers(1, len(table)).flatmap(lambda c: st.sampled_from((c, -c))),
+    )
+    rows = draw(st.lists(st.lists(code, max_size=8), min_size=1, max_size=6))
+    return table, [codes, *rows]
+
+
+@settings(max_examples=300)
+@given(composites())
+def test_compose_rows_matches_the_reference_when_inverted_rows_repeat(case):
+    table, rows = case
+    expected = tuple(_substitute_letter_by_letter(table, row, words.LETTER_BUDGET) for row in rows)
+    assert tuple(map(tuple, words._compose_rows(rows, table))) == expected
+
+
+def test_compose_rows_inverts_each_row_once(monkeypatch):
+    # code -1 appears five times in the composite; its three-letter image is
+    # negated once, and a second composite starts afresh
+    table = ((1, 2, 3), (4, 7), (5, 6))
+    rows = ((-1,), (2, -1), (-1, 3, -1), (-2, -1, -3))
+    negated = []
+    monkeypatch.setattr(words, "neg", lambda c: negated.append(c) or -c)
+    expected = ((-3, -2, -1), (4, 7, -3, -2, -1), (-3, -2, -1, 5, 6, -3, -2, -1),
+                (-7, -4, -3, -2, -1, -6, -5))
+    assert words._compose_rows(rows, table) == expected
+    assert sorted(negated) == [1, 2, 3, 4, 5, 6, 7]
+    assert words._compose_rows(rows, table) == expected
+    assert len(negated) == 14
 
 
 @pytest.mark.parametrize("table,codes,expected", [
@@ -251,7 +289,7 @@ def test_substitute_matches_the_reference_across_long_seams(case):
     ((range(3, 4), range(4, 5), range(2, 5)), (1, 2, -3), (-2,)),
 ])
 def test_substitute_cancels_past_whole_images(table, codes, expected):
-    assert words._substitute(table, codes) == expected
+    assert words._substitute(table, codes, {}) == expected
     assert _substitute_letter_by_letter(table, codes, words.LETTER_BUDGET) == expected
 
 
@@ -296,7 +334,7 @@ def _long_seams():
                          [case[1:] for case in _long_seams()],
                          ids=[case[0] for case in _long_seams()])
 def test_substitute_cancels_long_runs_by_either_regime(table, codes, expected):
-    assert words._substitute(table, codes) == expected
+    assert words._substitute(table, codes, {}) == expected
     assert _substitute_letter_by_letter(table, codes, words.LETTER_BUDGET) == expected
 
 
