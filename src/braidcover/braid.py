@@ -13,8 +13,10 @@ three independent routes that must agree generator by generator:
 Every product of maps -- a braid word, each side of a braid relation at
 the functor and the automorphism level, and the d-1 Dehn twists of a
 factorization -- is built by one right fold, `_product`; the first factor
-still acts first.  The inverse generator comes from the inverse lift on
-the groupoid side, so no general automorphism inversion is ever needed.
+still acts first.  A braid word that is a proper power u^k folds only its
+root u, then raises the product to the k-th power by repeated squaring.
+The inverse generator comes from the inverse lift on the groupoid side,
+so no general automorphism inversion is ever needed.
 
 A product of mapping classes written D_2 * D_3 * ... * D_d composes like
 functions: the rightmost factor acts first.  dehn_twist_product follows
@@ -174,17 +176,46 @@ def _product(compose, maps):
     return product
 
 
+def _power_root(letters: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """(u, k) with letters = u^k and u as short as possible; k = 1 for a word
+    that is not a proper power, the empty word included."""
+    size = len(letters)
+    for p in range(1, size):
+        # the second block first: a word that is no power then costs about
+        # the sum of the divisors of its length, not their count times it
+        if (size % p == 0 and letters[p:2 * p] == letters[:p]
+                and letters[:p] * (size // p) == letters):
+            return letters[:p], size // p
+    return letters, 1
+
+
 def evaluate(w: BraidWord) -> FreeAutomorphism:
     """Image of a braid word; the leftmost letter acts first.
+
+    The word is read as u^k with u its shortest root.  The letters of u are
+    folded once from the right, and that product is raised to the k-th
+    power by left-to-right square-and-multiply, each multiply step pushing
+    u's short rows through the power so far.  The fold rebuilds nearly
+    every row at every letter, while the powers the squaring builds are
+    about square roots of the result.  The letter budget bounds every row
+    built on the way, so a proper power near the budget is refused or not
+    according to the suffix products of u and the powers the squaring
+    builds, not the word's own suffix products.
 
     A product refused by the letter budget names the word's length and
     (d, n); a generator table refused by size already names (d, n).
     """
     d, n = w.d, w.n
-    maps = [generator_action(d, n, letter) for letter in w.letters]
+    root, k = _power_root(w.letters)
+    maps = [generator_action(d, n, letter) for letter in root]
     maps.append(words.identity_automorphism(d, n))  # so the empty word has a product
     try:
-        return _product(words.compose, maps)
+        base = power = _product(words.compose, maps)
+        for bit in bin(k)[3:]:  # the bits of k after the leading one
+            power = words.compose(power, power)
+            if bit == "1":
+                power = words.compose(base, power)
+        return power
     except BudgetExceededError as exc:
         raise BudgetExceededError(
             f"evaluating a braid word of {len(w)} letters at d={d}, n={n}: {exc}"

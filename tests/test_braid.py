@@ -176,6 +176,69 @@ def test_evaluate_equals_the_left_fold(data):
     assert all(type(row) is tuple for row in got.table)
 
 
+@pytest.mark.parametrize("letters,root,k", [
+    ((), (), 1),
+    ((2,), (2,), 1),
+    ((1, 2, 1), (1, 2, 1), 1),
+    ((1, -2) * 7, (1, -2), 7),
+    ((1, 2, -3) * 5, (1, 2, -3), 5),
+    ((1, 2) * 3 + (1,), (1, 2) * 3 + (1,), 1),  # period 2 does not divide the length
+    ((1, 1, 2) * 2 + (1, 1), (1, 1, 2) * 2 + (1, 1), 1),
+    ((-1,) * 6, (-1,), 6),
+], ids=["empty", "one-letter", "aperiodic", "ladder", "prime-power", "odd-period",
+        "long-period", "letter-power"])
+def test_power_root_is_the_shortest_root(letters, root, k):
+    assert braid._power_root(letters) == (root, k)
+
+
+def _right_fold(d, n, letters):
+    """Product of the letters' actions, folded one letter at a time from the right."""
+    product = identity_automorphism(d, n)
+    for letter in reversed(letters):
+        product = compose(generator_action(d, n, letter), product)
+    return product
+
+
+@given(strategies.braid_letters_with_params(max_size=3), st.integers(1, 6))
+@example((3, 3, ()), 4)
+@example((3, 3, (1, -2)), 6)
+def test_evaluating_a_power_equals_the_letter_fold(data, k):
+    d, n, root = data
+    letters = root * k
+    got = evaluate(BraidWord(d, n, letters))
+    assert got.table == _right_fold(d, n, letters).table
+    assert all(type(row) is tuple for row in got.table)
+
+
+@pytest.mark.parametrize("root,d,n", [((1, -2), 3, 3), ((-1, 2, 3), 3, 4), ((2,), 4, 3)])
+@pytest.mark.parametrize("k", range(1, 14))
+def test_a_power_folds_its_root_once_then_squares(monkeypatch, root, d, n, k):
+    # the root is folded with the identity appended, |u| compositions; then
+    # each bit of k after the leading one squares, and a set bit multiplies
+    # by the root's product, which is passed first
+    calls = []
+
+    def noted(f, g, compose=words.compose):
+        calls.append((f, g, compose(f, g)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(words, "compose", noted)
+    got = evaluate(BraidWord(d, n, root * k))
+    assert len(calls) == len(root) + k.bit_length() - 1 + bin(k).count("1") - 1
+    root_product = power = calls[len(root) - 1][2]
+    steps = iter(calls[len(root):])
+    for bit in bin(k)[3:]:
+        f, g, power_next = next(steps)
+        assert f is g is power
+        power = power_next
+        if bit == "1":
+            f, g, power_next = next(steps)
+            assert f is root_product and g is power
+            power = power_next
+    assert got is power
+    assert got.table == _right_fold(d, n, root * k).table
+
+
 @given(strategies.braid_letters_with_params(max_n=6, max_size=6), st.integers(0, 10**6))
 def test_compose_shares_the_rows_a_generator_fixes(data, pick):
     d, n, letters = data

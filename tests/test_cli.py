@@ -173,10 +173,11 @@ def test_word_growth_past_the_budget_exits_one(capsys, monkeypatch):
 
 
 def test_refusal_near_the_budget_follows_the_suffix_products(capsys, monkeypatch):
-    # Both words are X X^-1, the identity braid.  `evaluate` folds from the
-    # right, so the products it builds on the way are the word's suffixes,
-    # and whether a word near the budget is refused depends on them; a left
-    # fold builds the prefix products and decides each word the other way.
+    # Both words are X X^-1, the identity braid, and neither is a proper
+    # power.  `evaluate` folds such a word from the right, so the products
+    # it builds on the way are the word's suffixes, and whether a word near
+    # the budget is refused depends on them; a left fold builds the prefix
+    # products and decides each word the other way.
     def left_fold(w):
         actions = (braid.generator_action(w.d, w.n, letter) for letter in w.letters)
         return functools.reduce(words.compose, actions, words.identity_automorphism(w.d, w.n))
@@ -196,6 +197,34 @@ def test_refusal_near_the_budget_follows_the_suffix_products(capsys, monkeypatch
             assert err == ""
             with pytest.raises(BudgetExceededError):
                 left_fold(w)
+
+
+def test_refusal_near_the_budget_follows_the_squarings(capsys, monkeypatch):
+    # Both words are proper powers (1 2)^k.  `evaluate` folds the root once
+    # and squares, so the products it builds on the way are powers of
+    # (1 2), and whether a power near the budget is refused depends on
+    # them; folding every letter from the right builds the word's suffix
+    # products and decides each word the other way.
+    def suffix_fold(w):
+        product = words.identity_automorphism(w.d, w.n)
+        for letter in reversed(w.letters):
+            product = words.compose(braid.generator_action(w.d, w.n, letter), product)
+        return product
+
+    for k, budget, code in ((3, 10, 0), (5, 14, 1)):
+        monkeypatch.setattr(words, "LETTER_BUDGET", budget)
+        word = " ".join(["1 2"] * k)
+        got, _, err = run_cli(capsys, "eval", "--d", "3", "--n", "3", "--word", word)
+        assert got == code, word
+        w = braid.BraidWord(3, 3, (1, 2) * k)
+        if code:
+            assert err == (f"error: evaluating a braid word of {2 * k} letters at d=3, n=3: "
+                           f"result exceeds the letter budget of {budget}\n")
+            suffix_fold(w)
+        else:
+            assert err == ""
+            with pytest.raises(BudgetExceededError):
+                suffix_fold(w)
 
 
 def test_oversized_tables_exit_one_before_allocation(capsys, monkeypatch):
@@ -313,6 +342,12 @@ GOLDEN_STDOUT = [
      "b23910808be9948671f893cd3c5c09e28f166ee5", "79701f3d97c5e0205b8fa6b116e610d738777c39"),
     (("eval", "--d", "3", "--n", "3", "--word", " ".join(["-1 2"] * 6)),
      "9a1cc4c07d2b4ee569987d8fbea653d387537bee", "53a0122276382b8dd08f611bff9fbc21abf89695"),
+    # proper powers with 3-letter roots and odd exponents, pinned before
+    # powers were evaluated by squaring: (1 2 3)^4 is the full twist at n = 4
+    (("eval", "--d", "4", "--n", "4", "--word", " ".join(["1 2 3"] * 4)),
+     "8f0b41703bd29b7a3b1315dcf16481db47560550", "e1065c4a8a76ebb9d03d869660a58c00effade87"),
+    (("eval", "--d", "3", "--n", "5", "--word", " ".join(["-3 2 -1"] * 5)),
+     "bb1d6ec1af6c1794dd45740c7928ccab4aa96f1c", "cdd5a00373a973831789f9388fc2f44340b084aa"),
 ]
 
 
