@@ -13,7 +13,7 @@ import json
 import sys
 from typing import Sequence
 
-from . import braid, groupoid, words
+from . import braid, groupoid
 from .errors import BudgetExceededError, SelfCheckError
 from .surface import SurfaceData, format_table
 from .surface import surface as surface_data
@@ -39,24 +39,15 @@ def _print_tables(rows, mode: str) -> None:
         print(format_table(rows))
 
 
-def _print_images(rows, images, spell, key: str, mode: str) -> None:
-    """One line per table row; a row is named by the identity's image there."""
-    for row, image in zip(rows, images):
-        name, text = spell(row), spell(image)
+def _print_map(f, key: str, mode: str) -> None:
+    """One line per table row of an automorphism or functor; row c - 1 is
+    named by the one-code row (c,), which spells generator or edge c."""
+    for code, row in enumerate(f.table, start=1):
+        name, text = f._view((code,)), f._view(row)
         if mode == "structured":
             print(f"{key}={name} image={text}")
         else:
             print(f"{name} -> {text}")
-
-
-def _print_functor(F: groupoid.GroupoidFunctor, mode: str) -> None:
-    rows = groupoid.identity_functor(F.d, F.n).edge_images
-    _print_images(rows, F.edge_images, groupoid.format_path, "edge", mode)
-
-
-def _print_automorphism(f: words.FreeAutomorphism, mode: str) -> None:
-    rows = words.identity_automorphism(f.d, f.n).images
-    _print_images(rows, f.images, words.format_word, "generator", mode)
 
 
 def _print_matrix(matrix, mode: str) -> None:
@@ -139,14 +130,14 @@ def run(args: argparse.Namespace) -> int:
     elif args.command == "tables":
         _print_tables(surface_table(args.d, args.n_max), mode)
     elif args.command == "lift":
-        _print_functor(groupoid.lifted_half_twist(args.d, args.n, args.i), mode)
+        _print_map(groupoid.lifted_half_twist(args.d, args.n, args.i), "edge", mode)
     elif args.command == "dehn":
-        _print_functor(groupoid.dehn_twist(args.d, args.n, args.i, args.j), mode)
+        _print_map(groupoid.dehn_twist(args.d, args.n, args.i, args.j), "edge", mode)
     elif args.command == "aut":
-        _print_automorphism(braid.half_twist_action(args.d, args.n, args.i), mode)
+        _print_map(braid.half_twist_action(args.d, args.n, args.i), "generator", mode)
     elif args.command == "eval":
         w = braid.parse_braid(args.d, args.n, args.word)
-        _print_automorphism(braid.evaluate(w), mode)
+        _print_map(braid.evaluate(w), "generator", mode)
     elif args.command == "matrix":
         w = braid.parse_braid(args.d, args.n, args.word)
         _print_matrix(braid.braid_matrix(w), mode)

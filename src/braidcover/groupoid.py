@@ -14,8 +14,8 @@ stored as its substitution table alone: row c - 1 holds the step codes of
 the image of edge c, a path that starts at the image of the edge's source.
 Every edge joins distinct vertices, so each row is nonempty and the vertex
 map is read off the rows: v[i] goes where the image of e[i,1] begins, and
-boundary vertices stay fixed.  `edge_images` and `edge(i, j)` build the
-image paths on demand.  The base disk is the same graph at d = 1, a single
+boundary vertices stay fixed.  `edge_images` and `edge(i, j)` view rows as
+image paths on demand (`_view`); the one-code row (c,) views as edge c.  The base disk is the same graph at d = 1, a single
 edge per level; `project` collapses sheets onto it.  Paths and functors
 accept any d >= 1, while the twist lifts need a genuine cover, d >= 2.
 Everything is immutable and pure.
@@ -274,18 +274,19 @@ class GroupoidFunctor:
             return v
         return _step_ends(self.d, self.n, self.table[v.level * self.d][0])[0]
 
-    def _image(self, code: int) -> EdgePath:
-        row = self.table[code - 1]
+    def _view(self, row: tuple[int, ...]) -> EdgePath:
+        """A nonempty table row as the path it spells, starting where `row[0]`
+        begins; `_view((c,))` is the edge with code c."""
         return EdgePath._trusted(self.d, self.n, _step_ends(self.d, self.n, row[0])[0], row)
 
     @property
     def edge_images(self) -> tuple[EdgePath, ...]:
         """Every edge image as a path, indexed by edge code - 1."""
-        return tuple(map(self._image, range(1, len(self.table) + 1)))
+        return tuple(map(self._view, self.table))
 
     def edge(self, i: int, j: int) -> EdgePath:
         """Image of the edge e[i,j] (sheet wrapped mod d)."""
-        return self._image(_edge_code(self.d, self.n, i, j))
+        return self._view(self.table[_edge_code(self.d, self.n, i, j) - 1])
 
 
 def apply_functor(F: GroupoidFunctor, p: EdgePath) -> EdgePath:
@@ -370,27 +371,29 @@ def dehn_twist(d: int, n: int, i: int, j: int) -> GroupoidFunctor:
     """Twist along the standard loop with indices (i, j), sheet mod d.
 
     Only the edge images are stored; the interior swap i <-> i+1 is read
-    off them, as for every functor.  The twist at sheet 1 is written out and
-    validated; with s the deck shift e[l,k] -> e[l,k+1], a graph automorphism
-    fixing every interior vertex, the twist at sheet j is its conjugate by
-    s^(j-1) and valid by construction: row s^(j-1)(c) is s^(j-1) of row c,
+    off them, as for every functor.  The twist at sheet d, the last one
+    `braid.dehn_twist_product` needs, is written out and validated; with s
+    the deck shift e[l,k] -> e[l,k+1], a graph automorphism fixing every
+    interior vertex, the twist at a sheet j with j mod d != 0 is its
+    conjugate by s^j and valid by construction: row s^j(c) is s^j of row c,
     for the rows at levels i-1..i+1, which name only edges there.
     """
     check_params(d, n)
     check_index(d, n, i, (n + 1) * d)
-    if j != 1:
-        first, band = dehn_twist(d, n, i, 1).table, range((i - 1) * d + 1, (i + 2) * d + 1)
-        shift = {c: c - (c - 1) % d + (c + j - 2) % d for c in band}
+    if j % d:
+        last, band = dehn_twist(d, n, i, d).table, range((i - 1) * d + 1, (i + 2) * d + 1)
+        shift = {c: c - (c - 1) % d + (c + j - 1) % d for c in band}
         shift.update([(-c, -t) for c, t in shift.items()])
-        rows = {shift[c]: tuple(map(shift.__getitem__, first[c - 1])) for c in band}
+        rows = {shift[c]: tuple(map(shift.__getitem__, last[c - 1])) for c in band}
         shifted = tuple(map(rows.__getitem__, band))
-        return GroupoidFunctor._trusted(d, n, first[:band[0] - 1] + shifted + first[band[-1]:])
+        return GroupoidFunctor._trusted(d, n, last[:band[0] - 1] + shifted + last[band[-1]:])
     images: dict[Edge, list[tuple[int, int, int]]] = {}
     for k in range(1, d + 1):
-        near = 2 if k == 1 else 1  # e[i,1] and e[i,2] swap; the other sheets pass e[i,1]
+        near = 1 if k == d else d  # e[i,d] and e[i,1] swap; the other sheets pass e[i,d]
         images[Edge(i - 1, k)] = [(i - 1, k, 1), (i, near, 1)]
-        images[Edge(i, k)] = [(i, near, -1)] if k <= 2 else [(i, 1, -1), (i, k, 1), (i, 1, -1)]
-        images[Edge(i + 1, k)] = [(i, 2 if k == 2 else 1, 1), (i + 1, k, 1)]
+        images[Edge(i, k)] = ([(i, d, -1), (i, k, 1), (i, d, -1)] if 1 < k < d
+                              else [(i, near, -1)])
+        images[Edge(i + 1, k)] = [(i, 1 if k == 1 else d, 1), (i + 1, k, 1)]
     return _functor(d, n, images)
 
 

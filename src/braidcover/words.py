@@ -104,15 +104,6 @@ class Word:
     def __len__(self) -> int:
         return len(self.codes)
 
-    def __bool__(self) -> bool:
-        return bool(self.codes)
-
-    def __mul__(self, other: "Word") -> "Word":
-        return multiply(self, other)
-
-    def inverse(self) -> "Word":
-        return invert(self)
-
     def __str__(self) -> str:
         return format_word(self)
 
@@ -312,19 +303,20 @@ class FreeAutomorphism:
 
     _trusted = classmethod(_trusted_init)
 
-    def _image(self, code: int) -> Word:
-        return Word(self.d, self.n, self.table[code - 1])
+    def _view(self, row: tuple[int, ...]) -> Word:
+        """A table row as a Word; `_view((c,))` is the generator with code c."""
+        return Word(self.d, self.n, row)
 
     @property
     def images(self) -> tuple[Word, ...]:
         """Every generator image as a Word, indexed by basis code - 1."""
-        return tuple(map(self._image, range(1, len(self.table) + 1)))
+        return tuple(map(self._view, self.table))
 
     def image(self, i: int, j: int) -> Word:
         """Image of the basis generator x[i,j]."""
         if not (1 <= i <= self.n - 1 and 1 <= j <= self.d - 1):
             raise ValueError(f"x[{i},{j}] is not a basis generator for d={self.d}, n={self.n}")
-        return self._image((i - 1) * (self.d - 1) + j)
+        return self._view(self.table[(i - 1) * (self.d - 1) + j - 1])
 
 
 @lru_cache(maxsize=None)

@@ -293,6 +293,21 @@ def test_two_sheet_cover_needs_a_single_twist(n):
         assert equal(single, dehn_twist_product(2, n, i))
 
 
+@pytest.mark.parametrize("d,n,entries", [(2, 4, 1), (5, 3, 4)])
+def test_a_twist_product_builds_no_twist_it_does_not_use(d, n, entries):
+    # the twist at sheet d is written out, and the twists at sheets 2..d-1
+    # are its deck translates, so no sheet-1 twist is built on the way
+    caches = (dehn_twist_product, groupoid.dehn_twist)
+    for cached in caches:
+        cached.cache_clear()
+    try:
+        dehn_twist_product(d, n, 1)
+        assert groupoid.dehn_twist.cache_info().currsize == entries
+    finally:
+        for cached in caches:
+            cached.cache_clear()
+
+
 def test_twist_product_fixes_far_generators():
     f = dehn_twist_product(3, 4, 1)
     assert f.image(3, 1) == parse_word(3, 4, "x[3,1]")
@@ -421,7 +436,7 @@ def test_run_suite_rejects_unknown_names():
 
 
 def test_failing_comparison_names_the_first_differing_generator():
-    result = braid._compare_automorphisms(
+    result = braid._compare(
         "probe", half_twist_action(3, 2, 1), identity_automorphism(3, 2)
     )
     assert not result.passed
@@ -432,15 +447,15 @@ def test_failing_comparison_names_the_first_differing_generator():
 
 def test_failing_functor_comparison_names_the_first_differing_edge():
     lift = groupoid.lifted_half_twist(3, 2, 1)
-    result = braid._compare_functors("probe", lift, groupoid.dehn_twist(3, 2, 1, 2))
+    result = braid._compare("probe", lift, groupoid.dehn_twist(3, 2, 1, 2))
     assert not result.passed
     assert result.detail == "e[0,3]: e[0,3]*e[1,1] != e[0,3]*e[1,2]"
-    result = braid._compare_functors("probe", lift, groupoid.identity_functor(3, 2))
+    result = braid._compare("probe", lift, groupoid.identity_functor(3, 2))
     assert (result.passed, result.detail) == (False, "e[0,1]: e[0,1]*e[1,2] != e[0,1]")
 
 
 def test_failing_automorphism_comparison_spells_the_full_detail():
-    result = braid._compare_automorphisms(
+    result = braid._compare(
         "probe", half_twist_action(3, 2, 1), identity_automorphism(3, 2)
     )
     assert result.detail == "x[1,1]: x[1,2]^-1 != x[1,1]"
@@ -454,8 +469,8 @@ def test_passing_comparisons_build_no_row_names(monkeypatch):
     for module, name in ((words, "identity_automorphism"), (groupoid, "identity_functor"),
                          (words, "format_word"), (groupoid, "format_path")):
         monkeypatch.setattr(module, name, refuse)
-    assert braid._compare_functors("same", lift, lift) == CheckResult("same", True)
-    assert braid._compare_automorphisms("same", f, f) == CheckResult("same", True)
+    assert braid._compare("same", lift, lift) == CheckResult("same", True)
+    assert braid._compare("same", f, f) == CheckResult("same", True)
 
 
 def test_relation_list_names_sides_in_check_order():

@@ -253,16 +253,34 @@ def test_oversized_tables_exit_one_before_allocation(capsys, monkeypatch):
     assert run_cli(capsys, "aut", "--d", "7", "--n", "9", "--i", "1")[0] == 0
 
 
-def test_failed_conjugate_self_check_exits_one(capsys, monkeypatch):
-    braid.conjugate_twist_action.cache_clear()
-    monkeypatch.setattr(words, "equal", lambda f, g: False)
-    try:
-        code, out, err = run_cli(capsys, "verify", "--d", "3", "--n", "3", "--suite", "cross")
-    finally:
-        braid.conjugate_twist_action.cache_clear()
-    assert code == 1
-    assert err.startswith("error: conjugate form disagrees")
-    assert "Traceback" not in err
+def test_a_wrong_conjugate_table_fails_its_check_and_the_others_still_run(capsys, monkeypatch):
+    monkeypatch.setattr(braid, "conjugate_twist_action",
+                        lambda d, n, i: words.identity_automorphism(d, n))
+    code, out, err = run_cli(capsys, "verify", "--d", "3", "--n", "3", "--suite", "cross")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[0].startswith("FAIL cross_validation i=1 closed/conjugate: x[1,1]: ")
+    assert "PASS cross_validation i=1 closed/groupoid" in lines
+    assert lines[-1] == "FAIL: 2 of 4 checks failed"
+
+
+def test_rows_are_named_without_the_identity_map(capsys, monkeypatch):
+    lift, other = groupoid.lifted_half_twist(3, 2, 1), groupoid.dehn_twist(3, 2, 1, 2)
+    f, g = braid.half_twist_action(3, 2, 1), braid.evaluate(braid.parse_braid(3, 2, "1 1"))
+
+    def refuse(*args):
+        raise AssertionError("identity map built to name a row")
+
+    monkeypatch.setattr(words, "identity_automorphism", refuse)
+    monkeypatch.setattr(groupoid, "identity_functor", refuse)
+    assert braid._compare("probe", lift, other).detail == (
+        "e[0,3]: e[0,3]*e[1,1] != e[0,3]*e[1,2]")
+    assert braid._compare("probe", f, g).detail == "x[1,1]: x[1,2]^-1 != x[1,1]^-1*x[1,2]^-1"
+    assert run_cli(capsys, "lift", "--d", "3", "--n", "2", "--i", "1")[1].splitlines()[:2] == [
+        "e[0,1] -> e[0,1]*e[1,2]", "e[0,2] -> e[0,2]*e[1,3]"]
+    assert run_cli(capsys, "aut", "--d", "3", "--n", "2", "--i", "1",
+                   "--output-mode", "structured") == (
+        0, "generator=x[1,1] image=x[1,2]^-1\ngenerator=x[1,2] image=x[1,2]*x[1,1]\n", "")
 
 
 def test_failed_inverse_lift_self_check_exits_one(capsys, monkeypatch):
