@@ -374,13 +374,14 @@ def dehn_twist(d: int, n: int, i: int, j: int) -> GroupoidFunctor:
     off them, as for every functor.  The twist at sheet d, the last one
     `braid.dehn_twist_product` needs, is written out and validated; with s
     the deck shift e[l,k] -> e[l,k+1], a graph automorphism fixing every
-    interior vertex, the twist at a sheet j with j mod d != 0 is its
-    conjugate by s^j and valid by construction: row s^j(c) is s^j of row c,
-    for the rows at levels i-1..i+1, which name only edges there.
+    interior vertex, the twist at any other sheet j is its conjugate by s^j
+    (the identity when d divides j) and valid by construction: row s^j(c)
+    is s^j of row c, for the rows at levels i-1..i+1, which name only edges
+    there.  So each (d, n, i) validates one table.
     """
     check_params(d, n)
     check_index(d, n, i, (n + 1) * d)
-    if j % d:
+    if j != d:
         last, band = dehn_twist(d, n, i, d).table, range((i - 1) * d + 1, (i + 2) * d + 1)
         shift = {c: c - (c - 1) % d + (c + j - 1) % d for c in band}
         shift.update([(-c, -t) for c, t in shift.items()])
@@ -451,16 +452,16 @@ def _is_lift(lift: GroupoidFunctor, base: GroupoidFunctor) -> bool:
     transformation that moves every sheet up by one.
     """
     d, table = lift.d, lift.table
-    collapse, inverted = _collapse_table(d, lift.n), {}
+    collapse, memo = _collapse_table(d, lift.n), {}
     # both tables hold validated, nonempty rows, and on the base a step's
     # code fixes the level it begins at, so equal collapsed rows mean the
     # projected image paths are equal, start vertices included
-    if any(_substitute(collapse, row, inverted) != base.table[k // d]
+    if any(_substitute(collapse, row, memo) != base.table[k // d]
            for k, row in enumerate(table)):
         return False
-    deck, inverted = _deck_table(d, lift.n), {}
+    deck, memo = _deck_table(d, lift.n), {}
     return all(
-        table[shifted - 1] == _substitute(deck, steps, inverted)
+        table[shifted - 1] == _substitute(deck, steps, memo)
         for ((shifted,), steps) in zip(deck, table)
     )
 

@@ -99,10 +99,10 @@ def functor_to_automorphism(F: GroupoidFunctor) -> FreeAutomorphism:
     letter budget is refused after O(budget) work.
     """
     d, n = F.d, F.n
-    table, edge_words, inverted = F.table, _edge_words(d, n), {}
+    table, edge_words, memo = F.table, _edge_words(d, n), {}
 
     def word(code: int) -> tuple[int, ...]:
-        return _substitute(edge_words, table[code - 1], inverted)
+        return _substitute(edge_words, table[code - 1], memo)
 
     def rows():
         prefix, first = (), word(1)  # first = W(e[i-1,1]), the last factor of P_i

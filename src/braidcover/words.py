@@ -16,7 +16,11 @@ every basis generator; `apply`, `compose`, `equal` and `abelianize` read
 that table, and the Word views (`images`, `image(i, j)`) are built on
 demand.  `compose(f, g)` applies f first; `braid` folds every longer
 product from the right, so that each factor pushes only the rows it moves
-through the product of the later ones (`_compose_rows`).  The public
+through the product of the later ones (`_compose_rows`).  Every
+substitution goes through one kernel, `_substitute`, with a memo its caller
+keeps for one table (one composite, or one `apply`): each negative code's
+inverted row, and the run cancelled where the images of a letter pair meet
+at a long seam, which for a fixed map depends on the pair alone.  The public
 constructor stores the rows as tuples and checks the parameters and that
 every row is a reduced word over the basis, so equal maps have equal
 tables; values derived from validated ones (composites, the identity,
@@ -131,13 +135,27 @@ def _reduce_onto(out: list[int], codes: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _substitute(table, codes: Iterable[int], inverted: dict) -> tuple[int, ...]:
+def _cancelled_run(left, right, start: int) -> int:
+    """Length of the run cancelled where `left` meets `right`, given that
+    the first `start` letters cancel: the first i >= start with
+    left[-1 - i] + right[i] != 0, or the shorter length if there is none.
+    One C-level scan, which costs a few iterator set-ups to start."""
+    return next(
+        compress(count(start), map(add, islice(reversed(left), start, None),
+                                   islice(right, start, None))),
+        min(len(left), len(right)),
+    )
+
+
+def _substitute(table, codes: Iterable[int], memo: dict) -> tuple[int, ...]:
     """Freely reduced image of a code sequence under a letter substitution.
 
     `table[c - 1]` holds the image codes of code c > 0, a freely reduced
-    tuple or range; a negative code contributes the inverse of its image,
-    built on first use and kept in the dict `inverted` by negative code, so
-    a caller passes one dict to all its calls through the same table.
+    tuple or range; a negative code contributes the inverse of its image.
+    The dict `memo` belongs to the caller, who passes one dict to all its
+    calls through the same table: it keeps each negative code's inverted
+    image, built on first use, and the run cancelled at each long seam's
+    letter pair (below).
     Since each image is reduced, only its head can cancel, against the tail
     of the output so far: the image is spliced at that seam, and when its
     first letter does not cancel it is appended whole.
@@ -146,31 +164,47 @@ def _substitute(table, codes: Iterable[int], inverted: dict) -> tuple[int, ...]:
     length against SCAN_FROM.  An image of at most SCAN_FROM letters cancels
     letter by letter in a Python loop, which costs nothing to start and
     one interpreted turn per letter.  A longer image finds the length of its
-    cancelled run with one C-level scan of the output's tail against its
-    head, drops that run with one `del` and appends the rest with one
-    `extend`: the scan costs a few iterator set-ups to start, and far less
-    per letter.  The split is on image length because that bounds the run
-    and is one comparison per code; bounding the run by both lengths
-    (`min`) costs more than the short images gain, and scanning every seam
-    slows the short-image tables of the verify suites.  The budget is
+    cancelled run by C-level scans (`_cancelled_run`), drops that run with
+    one `del` and appends the rest with one `extend`.  The split is on image
+    length because that bounds the run and is one comparison per code;
+    bounding the run by both lengths (`min`) costs more than the short
+    images gain, and scanning every seam slows the short-image tables of
+    the verify suites.
+
+    At a long seam the run depends on the output only past the letters of
+    the previous code's image that still end it (`tail`: all of them unless
+    that image's own seam cancelled some, none if it was empty or eaten
+    whole).  So `memo[prev, c]` keeps K, the run cancelled where image(prev)
+    meets image(c) on their own, scanned once per pair: if K < tail the run
+    is K and nothing is scanned, else the first `tail` letters cancel and
+    the scan of the output starts there.  The short regime pays for this
+    only the bookkeeping of `prev`, `cut` and `cut_len`.  The budget is
     checked once per code, so a blow-up stops early.
     """
     out: list[int] = []
     budget = LETTER_BUDGET
+    # prev: the previous code; cut letters of its image cancelled at its
+    # seam if `out` still holds cut_len letters, none otherwise
+    prev = cut = cut_len = 0
     for c in codes:
-        img = table[c - 1] if c > 0 else inverted.get(c)
+        img = table[c - 1] if c > 0 else memo.get(c)
         if img is None:
             img = table[-c - 1]
-            img = inverted[c] = (-img[0],) if len(img) == 1 else tuple(map(neg, reversed(img)))
+            img = memo[c] = (-img[0],) if len(img) == 1 else tuple(map(neg, reversed(img)))
         if out and img and out[-1] == -img[0]:
             m = len(img)
             if m > SCAN_FROM:
-                # k: the first i >= 1 with out[-1 - i] + img[i] != 0
-                k = next(
-                    compress(count(1), map(add, islice(reversed(out), 1, None),
-                                           islice(img, 1, None))),
-                    min(len(out), m),
-                )
+                # tail: the letters of image(prev) still ending `out` (below
+                # 1 also when image(prev) is empty)
+                last = table[prev - 1] if prev > 0 else memo[prev]
+                tail = len(last) - cut if len(out) == cut_len else len(last)
+                k = 1
+                if tail > 1:
+                    k = memo.get((prev, c))
+                    if k is None:
+                        k = memo[prev, c] = _cancelled_run(last, img, 1)
+                if k >= tail:
+                    k = _cancelled_run(out, img, max(tail, 1))
                 del out[len(out) - k:]
             else:
                 out.pop()
@@ -179,8 +213,10 @@ def _substitute(table, codes: Iterable[int], inverted: dict) -> tuple[int, ...]:
                     out.pop()
                     k += 1
             out.extend(img[k:])
+            cut, cut_len = k, len(out)
         else:
             out.extend(img)
+        prev = c
         if len(out) > budget:
             raise BudgetExceededError(f"result exceeds the letter budget of {budget}")
     return tuple(out)
@@ -193,11 +229,13 @@ def _compose_rows(rows, table) -> tuple[tuple[int, ...], ...]:
     the rows a map leaves fixed are shared with `table`, not rebuilt.  The
     rows of `table` therefore become rows of the result: it must hold
     tuples, as every automorphism and functor table does (unlike the range
-    rows of `pi1._edge_words`).  Each inverted row is built once per call.
+    rows of `pi1._edge_words`).  All rows share one `_substitute` memo, so
+    each inverted row is built, and each long seam's letter pair scanned,
+    once per call.
     """
-    inverted: dict[int, tuple[int, ...]] = {}
+    memo: dict = {}
     return tuple(
-        table[row[0] - 1] if len(row) == 1 and row[0] > 0 else _substitute(table, row, inverted)
+        table[row[0] - 1] if len(row) == 1 and row[0] > 0 else _substitute(table, row, memo)
         for row in rows
     )
 

@@ -185,6 +185,21 @@ def test_dehn_twist_sheet_wraps():
     assert dehn_twist(3, 2, 1, 5) == dehn_twist(3, 2, 1, 2)
 
 
+def test_every_sheet_of_a_twist_validates_one_table(monkeypatch):
+    # the twist is written out at sheet d only; sheet 0 and 2d are the
+    # identity shift of it, and sheets 1..d-1 proper shifts
+    validated = []
+    post_init = GroupoidFunctor.__post_init__
+    monkeypatch.setattr(GroupoidFunctor, "__post_init__",
+                        lambda self: validated.append(self) or post_init(self))
+    dehn_twist.cache_clear()
+    twists = {j: dehn_twist(3, 3, 1, j) for j in (3, 0, 6, 1, 2)}
+    assert len(validated) == 1
+    assert twists[0] == twists[3] == twists[6]
+    assert [twists[j] for j in (1, 2)] == [dehn_twist(3, 3, 1, j) for j in (4, 5)]
+    assert len(validated) == 1
+
+
 def _hand_written_dehn_twist(d, n, i, j):
     """The twist along (i, j) written out for every sheet, through the
     validating constructor: the reference for the deck-shifted twists."""

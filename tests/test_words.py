@@ -245,14 +245,19 @@ def test_substitute_matches_the_reference_across_long_seams(case):
 def composites(draw):
     """A table and the rows of one composite through it.  A few negative
     codes come back within a row and across rows, so their images, short
-    and long, are inverted once and used many times."""
+    and long, are inverted once and used many times; and one pair of codes
+    comes back after different left contexts, so a seam's run, kept the
+    first time, is read again where the output before it differs."""
     table, codes = draw(substitutions(long_rows=st.sampled_from((False, True, True))))
     repeated = draw(st.lists(st.integers(1, len(table)), min_size=1, max_size=2))
     code = st.one_of(
         st.sampled_from([-c for c in repeated]),
         st.integers(1, len(table)).flatmap(lambda c: st.sampled_from((c, -c))),
     )
-    rows = draw(st.lists(st.lists(code, max_size=8), min_size=1, max_size=6))
+    pair = draw(st.tuples(code, code))
+    piece = st.one_of(code.map(lambda c: (c,)), st.just(pair))
+    row = st.lists(piece, max_size=6).map(lambda pieces: list(itertools.chain(*pieces)))
+    rows = draw(st.lists(row, min_size=1, max_size=6))
     return table, [codes, *rows]
 
 
@@ -277,6 +282,91 @@ def test_compose_rows_inverts_each_row_once(monkeypatch):
     assert sorted(negated) == [1, 2, 3, 4, 5, 6, 7]
     assert words._compose_rows(rows, table) == expected
     assert len(negated) == 14
+
+
+def _inverse_row(row):
+    """The inverse of a table row, a range if the row is one."""
+    return range(1 - row.stop, 1 - row.start) if isinstance(row, range) else _inverse(row)
+
+
+def _memo_seams():
+    """(id, table, codes, pairs) with long seams in each situation of the
+    previous code's image: `pairs` are the (prev, c) keys `_substitute`
+    keeps, the seams whose image(prev) still ends the output with two
+    letters or more.  Each case comes with all its codes negative, over
+    the inverted rows, which gives the same word."""
+    base, earlier = tuple(range(1, 201)), tuple(range(1001, 1051))
+    cut = earlier + (7, 8)  # its last two letters cancel against `head`
+    head = (-8, -7) + base
+    cases = [
+        # the run stops inside image(prev), twice: the second reads the memo
+        ("tuple-stops-inside-prev", (base, _inverse(base)[:150] + (999,)), (1, 2, 1, 2),
+         {(1, 2)}),
+        # the run eats image(prev) and goes on into the output before it
+        ("tuple-eats-prev-then-earlier", (earlier, base, _inverse(earlier[-20:] + base) + (999,)),
+         (1, 2, 3), {(2, 3)}),
+        # image(prev) was cut by its own seam, and the run stops inside the
+        # rest of it
+        ("tuple-prev-cut-stops-inside", (cut, head, _inverse(base)[:150] + (999,)), (1, 2, 3),
+         {(1, 2), (2, 3)}),
+        # image(prev) was cut by its own seam; on their own image(prev) and
+        # image(c) cancel further than the output, which lost the cut letters
+        ("tuple-prev-cut-goes-past", (cut, head, _inverse(head) + (999,)), (1, 2, 3),
+         {(1, 2), (2, 3)}),
+        # image(prev) was eaten whole by its own seam
+        ("tuple-prev-eaten-whole", (cut, (-8, -7), _inverse(earlier) + tuple(range(2001, 2101))),
+         (1, 2, 3), set()),
+        # an empty image between two long ones, and one just after a cut
+        ("tuple-empty-between", (base, (), _inverse(base)[:150] + (999,)), (1, 2, 3), set()),
+        ("tuple-empty-after-cut", (cut, head, (), _inverse(base)[:150] + (999,)), (1, 2, 3, 4),
+         {(1, 2)}),
+        # a short range image between two long ones
+        ("range-between-tuples",
+         (base, range(3001, 3004), tuple(range(-3003, -3000)) + _inverse(base)[:150] + (999,)),
+         (1, 2, 3), {(2, 3)}),
+        ("range-stops-inside-prev", (range(1, 201), range(-200, -50)), (1, 2, 1, 2), {(1, 2)}),
+        ("range-eats-prev-then-earlier", (range(1, 101), range(101, 201), range(-200, -20)),
+         (1, 2, 3), {(2, 3)}),
+        ("range-prev-cut-stops-inside",
+         ((5,), range(481, 501), range(-500, -30), range(31, 231)), (1, 2, 3, 4),
+         {(2, 3), (3, 4)}),
+        ("range-prev-cut-goes-past",
+         ((5,), range(81, 101), range(-100, -30), range(31, 200)), (1, 2, 3, 4), {(3, 4)}),
+        ("range-empty-between", (range(1, 201), range(0), range(-200, -50)), (1, 2, 3), set()),
+    ]
+    for name, table, codes, pairs in cases:
+        yield name + "-positive", table, codes, pairs
+        yield (name + "-negative", tuple(map(_inverse_row, table)), tuple(-c for c in codes),
+               {(-a, -b) for a, b in pairs})
+
+
+@pytest.mark.parametrize("table,codes,pairs",
+                         [case[1:] for case in _memo_seams()],
+                         ids=[case[0] for case in _memo_seams()])
+def test_substitute_keeps_each_long_seam_run_and_matches_the_reference(table, codes, pairs):
+    expected = _substitute_letter_by_letter(table, codes, words.LETTER_BUDGET)
+    memo = {}
+    assert words._substitute(table, codes, memo) == expected
+    assert {key for key in memo if isinstance(key, tuple)} == pairs
+    # a second call through the same memo finds every pair's run there
+    assert words._substitute(table, codes, memo) == expected
+
+
+def test_compose_rows_scans_each_long_seam_pair_once(monkeypatch):
+    # the pair (1, 2) meets at a long seam in three rows, after different
+    # left contexts; its run of 150 letters stops inside image(1), so only
+    # the first meeting scans, and a second composite starts afresh
+    image = tuple(range(1, 201))
+    table = (image, _inverse(image)[:150] + tuple(range(1001, 1051)))
+    rows = ((1, 2), (2, 1, 2), (-2, 1, 2))
+    scanned = []
+    monkeypatch.setattr(words, "compress",
+                        lambda *args: scanned.append(1) or itertools.compress(*args))
+    expected = tuple(_substitute_letter_by_letter(table, row, words.LETTER_BUDGET) for row in rows)
+    assert words._compose_rows(rows, table) == expected
+    assert len(scanned) == 1
+    assert words._compose_rows(rows, table) == expected
+    assert len(scanned) == 2
 
 
 @pytest.mark.parametrize("table,codes,expected", [
