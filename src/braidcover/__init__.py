@@ -4,7 +4,6 @@ from .errors import (
     BudgetExceededError,
     EndpointMismatchError,
     ParameterMismatchError,
-    SelfCheckError,
 )
 from .words import (
     FreeAutomorphism,

@@ -16,7 +16,8 @@ factorization -- is built by one right fold, `_product`; the first factor
 still acts first.  A braid word that is a proper power u^k folds only its
 root u, then raises the product to the k-th power by repeated squaring.
 The inverse generator comes from the inverse lift on the groupoid side,
-so no general automorphism inversion is ever needed.
+the lift conjugated by a reflection of the sheets, so no general
+automorphism inversion is ever needed.
 
 A product of mapping classes written D_2 * D_3 * ... * D_d composes like
 functions: the rightmost factor acts first.  dehn_twist_product follows

@@ -14,7 +14,7 @@ import sys
 from typing import Sequence
 
 from . import braid, groupoid
-from .errors import BudgetExceededError, SelfCheckError
+from .errors import BudgetExceededError
 from .surface import SurfaceData, format_table
 from .surface import surface as surface_data
 from .surface import table as surface_table
@@ -155,7 +155,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return run(args)
-    except (BudgetExceededError, SelfCheckError) as exc:
+    except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -11,7 +11,3 @@ class BudgetExceededError(RuntimeError):
 
 class EndpointMismatchError(ValueError):
     """Edge-path steps that do not meet end to end."""
-
-
-class SelfCheckError(RuntimeError):
-    """A construction-time self-check between two hand-written tables failed."""

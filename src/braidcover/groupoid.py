@@ -15,10 +15,10 @@ the image of edge c, a path that starts at the image of the edge's source.
 Every edge joins distinct vertices, so each row is nonempty and the vertex
 map is read off the rows: v[i] goes where the image of e[i,1] begins, and
 boundary vertices stay fixed.  `edge_images` and `edge(i, j)` view rows as
-image paths on demand (`_view`); the one-code row (c,) views as edge c.  The base disk is the same graph at d = 1, a single
-edge per level; `project` collapses sheets onto it.  Paths and functors
-accept any d >= 1, while the twist lifts need a genuine cover, d >= 2.
-Everything is immutable and pure.
+image paths on demand (`_view`); the one-code row (c,) views as edge c.
+The base disk is the same graph at d = 1, a single edge per level; `project`
+collapses sheets onto it.  Paths and functors accept any d >= 1, while the
+twist lifts need a genuine cover, d >= 2.  Everything is immutable and pure.
 
 Validation happens at the boundary.  The public constructors `EdgePath(...)`
 and `GroupoidFunctor(...)`, and with them `path`, `empty_path`, `parse_path`
@@ -28,10 +28,12 @@ interior vertices.  A functor walks, in code order, the rows that differ from
 the identity's and all rows at the two levels around each vertex it moves; any
 other row is an identity row between fixed vertices, which is valid, so the
 first row refused is the one a full walk refuses first.  Values derived from
-validated ones -- images, composites, inverses, projections and a twist's deck
-translates -- are valid by construction and are built through the private
-`_trusted` constructors without a second check.  A graph whose edge table
-would exceed `words.LETTER_BUDGET` is refused before anything is allocated.
+validated ones -- images, composites, inverses, projections and the twists
+`_relabel` conjugates by a level-keeping graph automorphism (the inverse lift
+by a sheet reflection, Dehn twists at sheets j != d by a deck shift) -- are
+valid by construction and built through the private `_trusted` constructors
+without a second check.  A graph whose edge table would exceed
+`words.LETTER_BUDGET` is refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -40,9 +42,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, count
 from operator import ne
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
-from .errors import EndpointMismatchError, SelfCheckError
+from .errors import EndpointMismatchError
 from .words import _compose_rows, _format_codes, _parse_tokens, _reduce_onto, _same_params
 from .words import _substitute, _trusted_init, check_index, check_params, check_table_size
 
@@ -322,6 +324,20 @@ def _functor(d: int, n: int, images: dict[Edge, list[tuple[int, int, int]]]) -> 
     return GroupoidFunctor(d, n, tuple(table))
 
 
+def _relabel(F: GroupoidFunctor, i: int, sheets: Callable[[int], list[int]]) -> GroupoidFunctor:
+    """F conjugated by s: e[l,k] -> e[l, sheets(l)[k-1]], a graph automorphism
+    that keeps every level, so row s(c) is s of row c.  F must move only the
+    3d rows at levels i-1..i+1, which name only edges there; only they are
+    rewritten, and the result is valid by construction."""
+    d, table = F.d, F.table
+    band = range((i - 1) * d + 1, (i + 2) * d + 1)
+    s = dict(zip(band, [level * d + k for level in range(i - 1, i + 2) for k in sheets(level)]))
+    s.update([(-c, -t) for c, t in s.items()])
+    rows = {s[c]: tuple(map(s.__getitem__, table[c - 1])) for c in band}
+    band_rows = tuple(map(rows.__getitem__, band))
+    return GroupoidFunctor._trusted(d, F.n, table[:band[0] - 1] + band_rows + table[band[-1]:])
+
+
 @lru_cache(maxsize=None)
 def lifted_half_twist(d: int, n: int, i: int) -> GroupoidFunctor:
     """Lift of the half twist swapping branch points i and i+1.
@@ -342,28 +358,12 @@ def lifted_half_twist(d: int, n: int, i: int) -> GroupoidFunctor:
 
 @lru_cache(maxsize=None)
 def lifted_half_twist_inverse(d: int, n: int, i: int) -> GroupoidFunctor:
-    """Lift of the inverse half twist; checked against lifted_half_twist.
-
-    The edge table is the formal inverse of the lifted half twist
-    (e[i-1,j] -> e[i-1,j]*e[i,j], e[i,j] -> e[i,j-1]^-1,
-    e[i+1,j] -> e[i,j-1]*e[i+1,j]); construction verifies that composing
-    with the lift in either order gives the identity functor.
-    """
-    check_params(d, n)
-    check_index(d, n, i, (n + 1) * d)
-    images: dict[Edge, list[tuple[int, int, int]]] = {}
-    for j in range(1, d + 1):
-        images[Edge(i - 1, j)] = [(i - 1, j, 1), (i, j, 1)]
-        images[Edge(i, j)] = [(i, _wrap(d, j - 1), -1)]
-        images[Edge(i + 1, j)] = [(i, _wrap(d, j - 1), 1), (i + 1, j, 1)]
-    inverse = _functor(d, n, images)
-    forward = lifted_half_twist(d, n, i)
-    ident = identity_functor(d, n)
-    if compose_functors(forward, inverse) != ident or compose_functors(inverse, forward) != ident:
-        raise SelfCheckError(
-            f"inverse half-twist table fails the identity check for d={d}, n={n}, i={i}"
-        )
-    return inverse
+    """Lift of the inverse half twist, e[i-1,j] -> e[i-1,j]*e[i,j],
+    e[i,j] -> e[i,j-1]^-1, e[i+1,j] -> e[i,j-1]*e[i+1,j]: the lift
+    conjugated by the sheet reflection e[l,k] -> e[l,l-k], an involution
+    that fixes every interior vertex."""
+    return _relabel(lifted_half_twist(d, n, i), i,
+                    lambda level: [(level - k - 1) % d + 1 for k in range(1, d + 1)])
 
 
 @lru_cache(maxsize=None)
@@ -372,22 +372,16 @@ def dehn_twist(d: int, n: int, i: int, j: int) -> GroupoidFunctor:
 
     Only the edge images are stored; the interior swap i <-> i+1 is read
     off them, as for every functor.  The twist at sheet d, the last one
-    `braid.dehn_twist_product` needs, is written out and validated; with s
-    the deck shift e[l,k] -> e[l,k+1], a graph automorphism fixing every
-    interior vertex, the twist at any other sheet j is its conjugate by s^j
-    (the identity when d divides j) and valid by construction: row s^j(c)
-    is s^j of row c, for the rows at levels i-1..i+1, which name only edges
-    there.  So each (d, n, i) validates one table.
+    `braid.dehn_twist_product` needs, is written out and validated; the
+    twist at any other sheet j is its conjugate by the j-th power of the
+    deck shift e[l,k] -> e[l,k+1] (the identity when d divides j), built
+    by `_relabel`.  So each (d, n, i) validates one table.
     """
     check_params(d, n)
     check_index(d, n, i, (n + 1) * d)
     if j != d:
-        last, band = dehn_twist(d, n, i, d).table, range((i - 1) * d + 1, (i + 2) * d + 1)
-        shift = {c: c - (c - 1) % d + (c + j - 1) % d for c in band}
-        shift.update([(-c, -t) for c, t in shift.items()])
-        rows = {shift[c]: tuple(map(shift.__getitem__, last[c - 1])) for c in band}
-        shifted = tuple(map(rows.__getitem__, band))
-        return GroupoidFunctor._trusted(d, n, last[:band[0] - 1] + shifted + last[band[-1]:])
+        shifted = [*range(j % d + 1, d + 1), *range(1, j % d + 1)]
+        return _relabel(dehn_twist(d, n, i, d), i, lambda level: shifted)
     images: dict[Edge, list[tuple[int, int, int]]] = {}
     for k in range(1, d + 1):
         near = 1 if k == d else d  # e[i,d] and e[i,1] swap; the other sheets pass e[i,d]
@@ -444,26 +438,32 @@ def verify_lift(d: int, n: int, i: int) -> bool:
 
 
 def _is_lift(lift: GroupoidFunctor, base: GroupoidFunctor) -> bool:
-    """Whether `lift` projects onto `base` and commutes with the deck shift.
+    """Whether `lift` projects onto `base`, commutes with the deck shift and
+    fixes the boundary of the cover.
 
     The base graph is a line, so a reduced base path is fixed by its
     endpoints and the projection alone cannot see a wrong sheet; a lift of
     a mapping class of the disk must also commute with the deck
-    transformation that moves every sheet up by one.
+    transformation that moves every sheet up by one, and it fixes the
+    boundary of the cover pointwise (Birman-Hilden).  By deck equivariance
+    the sheet-1 boundary arcs U_1 = e[0,1]*e[1,1]*...*e[n,1] and
+    L_1 = e[0,1]*e[1,2]*...*e[n,n+1] stand for all 2d of them.
     """
-    d, table = lift.d, lift.table
-    collapse, memo = _collapse_table(d, lift.n), {}
+    d, n, table = lift.d, lift.n, lift.table
+    collapse, memo = _collapse_table(d, n), {}
     # both tables hold validated, nonempty rows, and on the base a step's
     # code fixes the level it begins at, so equal collapsed rows mean the
     # projected image paths are equal, start vertices included
     if any(_substitute(collapse, row, memo) != base.table[k // d]
            for k, row in enumerate(table)):
         return False
-    deck, memo = _deck_table(d, lift.n), {}
-    return all(
-        table[shifted - 1] == _substitute(deck, steps, memo)
-        for ((shifted,), steps) in zip(deck, table)
-    )
+    deck, memo = _deck_table(d, n), {}
+    if not all(table[shifted - 1] == _substitute(deck, steps, memo)
+               for ((shifted,), steps) in zip(deck, table)):
+        return False
+    upper = tuple(range(1, n * d + 2, d))
+    lower = tuple([level * d + level % d + 1 for level in range(n + 1)])
+    return _substitute(table, upper, {}) == upper and _substitute(table, lower, {}) == lower
 
 
 # -- text grammar ------------------------------------------------------------

@@ -283,21 +283,6 @@ def test_rows_are_named_without_the_identity_map(capsys, monkeypatch):
         0, "generator=x[1,1] image=x[1,2]^-1\ngenerator=x[1,2] image=x[1,2]*x[1,1]\n", "")
 
 
-def test_failed_inverse_lift_self_check_exits_one(capsys, monkeypatch):
-    caches = (braid.generator_action, groupoid.lifted_half_twist_inverse)
-    for cached in caches:
-        cached.cache_clear()
-    monkeypatch.setattr(groupoid, "compose_functors", lambda F, G: F)
-    try:
-        code, out, err = run_cli(capsys, "eval", "--d", "3", "--n", "3", "--word", "-1")
-    finally:
-        for cached in caches:
-            cached.cache_clear()
-    assert code == 1
-    assert err.startswith("error: inverse half-twist table fails")
-    assert "Traceback" not in err
-
-
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "braidcover.cli", "surface", "--d", "5", "--n", "5"],

@@ -67,7 +67,7 @@ def test_every_backticked_python_name_in_the_readme_resolves():
 def test_the_second_letter_spelling_and_the_aliases_are_gone():
     owners = _owners()
     for name in ("Letter", "GeneratorSymbol", "words.symbols", "Word.letters", "words.word",
-                 "braid.braid_word", "groupoid.edge_path"):
+                 "braid.braid_word", "groupoid.edge_path", "SelfCheckError"):
         assert not _resolves(name, owners), name
         assert name.rsplit(".", 1)[-1] not in braidcover.__all__, name
     assert _resolves("words.SCAN_FROM", owners)

@@ -354,12 +354,48 @@ def test_vertex_action_realises_the_strand_permutation(d, n, raw):
 
 # -- the inverse lift ---------------------------------------------------------------
 
-@pytest.mark.parametrize("d,n,i", [(3, 3, 1), (3, 3, 2), (4, 2, 1), (5, 4, 2)])
+@pytest.mark.parametrize("d,n,i", [(d, n, i) for d in range(2, 7) for n in range(2, 7)
+                                   for i in range(1, n)])
 def test_inverse_lift_cancels_the_lift(d, n, i):
     forward = lifted_half_twist(d, n, i)
     backward = lifted_half_twist_inverse(d, n, i)
     assert compose_functors(forward, backward) == identity_functor(d, n)
     assert compose_functors(backward, forward) == identity_functor(d, n)
+
+
+def _hand_written_inverse_lift(d, n, i):
+    """The formal inverse of the lift written out, through the validating
+    constructor: the reference for the reflected lift."""
+    images = {}
+    for j in range(1, d + 1):
+        images[Edge(i - 1, j)] = [(i - 1, j, 1), (i, j, 1)]
+        images[Edge(i, j)] = [(i, groupoid._wrap(d, j - 1), -1)]
+        images[Edge(i + 1, j)] = [(i, groupoid._wrap(d, j - 1), 1), (i + 1, j, 1)]
+    return groupoid._functor(d, n, images)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_reflected_lift_matches_the_hand_written_inverse(d):
+    for n in range(2, 8):
+        for i in range(1, n):
+            F = lifted_half_twist_inverse(d, n, i)
+            assert F.table == _hand_written_inverse_lift(d, n, i).table, (d, n, i)
+            assert GroupoidFunctor(d, n, F.table) == F
+
+
+def test_inverse_lift_validates_only_the_lift_and_composes_nothing(monkeypatch):
+    validated, composed = [], []
+    post_init = GroupoidFunctor.__post_init__
+    monkeypatch.setattr(GroupoidFunctor, "__post_init__",
+                        lambda self: validated.append(self) or post_init(self))
+    monkeypatch.setattr(groupoid, "compose_functors",
+                        lambda F, G: composed.append((F, G)) or compose_functors(F, G))
+    lifted_half_twist.cache_clear()
+    lifted_half_twist_inverse.cache_clear()
+    inverse = lifted_half_twist_inverse(4, 3, 2)
+    assert validated == [lifted_half_twist(4, 3, 2)]
+    assert composed == []
+    assert compose_functors(inverse, validated[0]) == identity_functor(4, 3)
 
 
 def test_inverse_lift_fixes_far_edges():
@@ -578,6 +614,41 @@ def test_lift_check_sees_the_wrong_base_twist():
     base = base_half_twist(4, 2)
     for other in (lifted_half_twist(3, 4, 1), lifted_half_twist(3, 4, 3), identity_functor(3, 4)):
         assert not groupoid._is_lift(other, base)
+
+
+def _sheet_shifted_lift(d, n, i):
+    """Endpoint-valid, deck-equivariant and projecting onto the base half
+    twist, yet it moves the boundary arcs of the cover."""
+    images = {}
+    for j in range(1, d + 1):
+        images[Edge(i - 1, j)] = [(i - 1, j, 1), (i, groupoid._wrap(d, j + 2), 1)]
+        images[Edge(i, j)] = [(i, groupoid._wrap(d, j + 2), -1)]
+        images[Edge(i + 1, j)] = [(i, groupoid._wrap(d, j + 1), 1), (i + 1, j, 1)]
+    return groupoid._functor(d, n, images)
+
+
+def _upper_arc_keeping_lift(d, n, i):
+    """The lift conjugated by e[l,k] -> e[l,k-(l-i+1)] at levels i-1..i+1: it
+    sends the pattern e[i-1,j]*e[i,j]*e[i+1,j] of the upper arcs to the one
+    of the lower arcs, which the lift fixes, so for d >= 3 it fixes every
+    upper arc and moves every lower arc."""
+    return groupoid._relabel(lifted_half_twist(d, n, i), i, lambda level: [
+        groupoid._wrap(d, k - (level - i + 1)) for k in range(1, d + 1)])
+
+
+@pytest.mark.parametrize("d,n", [(3, 3), (4, 4), (5, 3), (5, 6)])
+def test_lift_check_sees_a_lift_that_moves_the_boundary(d, n):
+    deck = groupoid._deck_table(d, n)
+    upper = p(d, n, "*".join(f"e[{level},1]" for level in range(n + 1)))
+    for i in range(1, n):
+        base = base_half_twist(n, i)
+        for F in (_sheet_shifted_lift(d, n, i), _upper_arc_keeping_lift(d, n, i)):
+            assert [project(a) for a in F.edge_images] == [project(a) for a in base.edge_images
+                                                           for _ in range(d)]
+            assert all(F.table[s - 1] == words._substitute(deck, row, {})
+                       for ((s,), row) in zip(deck, F.table))
+            assert not groupoid._is_lift(F, base), (d, n, i)
+        assert apply_functor(_upper_arc_keeping_lift(d, n, i), upper) == upper
 
 
 @pytest.mark.parametrize("d", range(2, 7))
