@@ -27,6 +27,7 @@ twists along x[i,2], ..., x[i,d] reproduces the lifted half twist.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -54,17 +55,21 @@ class BraidWord:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def inverse(self) -> "BraidWord":
-        return BraidWord(self.d, self.n, tuple(-s for s in reversed(self.letters)))
-
     def __str__(self) -> str:
         return format_braid(self)
 
 
 def parse_braid(d: int, n: int, text: str) -> BraidWord:
-    """Whitespace-separated signed integers, e.g. '1 2 -1'."""
+    """Whitespace-separated signed integers, e.g. '1 2 -1'.
+
+    Only ASCII digits after an optional sign: `int` alone would also read
+    `1_2` as 12 and non-ASCII digits as their values.
+    """
+    tokens = text.split()
     try:
-        letters = tuple(int(tok) for tok in text.split())
+        if not all(re.fullmatch(r"[+-]?[0-9]+", tok) for tok in tokens):
+            raise ValueError
+        letters = tuple(map(int, tokens))  # int refuses a token past its digit limit
     except ValueError:
         raise ValueError(f"cannot parse braid word {text!r}") from None
     return BraidWord(d, n, letters)

@@ -18,9 +18,8 @@ on the surface group by
 
 where W(e) is the word of F's image of the edge e and
 P_i = W(e[0,1])*...*W(e[i-1,1]) is the word of F(p_i); both are letter
-substitutions through `words._substitute`.  `loop_to_word` and
-`word_to_loop` translate between basepoint loops and words; the tests use
-them as an independent route to the same action.
+substitutions through `words._substitute`.  `loop_to_word` reads a
+basepoint loop as a word by the same retraction.
 """
 
 from __future__ import annotations
@@ -62,31 +61,6 @@ def loop_to_word(p: EdgePath) -> Word:
     if p.start != base or p.end != base:
         raise ValueError(f"loop must start and end at {base}, got {p.start} -> {p.end}")
     return Word(d, n, _substitute(_edge_words(d, n), p.steps, {}))
-
-
-@lru_cache(maxsize=None)
-def _x_loops(d: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """Step codes of the loops x[i,j] = p_i * e[i,j] * e[i,j+1]^-1 * p_i^-1,
-    indexed by basis code - 1, each checked by the `EdgePath` constructor.
-
-    About d*n^2 steps in all; only `word_to_loop` reads this table.
-    """
-    base = basepoint(d, n)
-    loops = []
-    for i in range(1, n):
-        tree = [level * d + 1 for level in range(i)]
-        for j in range(1, d):
-            steps = (*tree, i * d + j, -(i * d + j + 1), *(-c for c in reversed(tree)))
-            loops.append(EdgePath(d, n, base, steps).steps)
-    return tuple(loops)
-
-
-def word_to_loop(w: Word) -> EdgePath:
-    """Concatenation of the defining x-loops, one per letter, reduced."""
-    # a product of validated basepoint loops is a valid basepoint loop
-    return EdgePath._trusted(
-        w.d, w.n, basepoint(w.d, w.n), _substitute(_x_loops(w.d, w.n), w.codes, {})
-    )
 
 
 def functor_to_automorphism(F: GroupoidFunctor) -> FreeAutomorphism:

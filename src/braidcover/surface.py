@@ -3,8 +3,7 @@
 The cover of the disk with n branch points is a compact oriented surface
 with b = gcd(d, n) boundary circles and genus
 g = (dn - n - d - gcd(d, n))/2 + 1, so its fundamental group is free of
-rank 2g + b - 1 = (d-1)(n-1).  The Euler characteristic of the bordered
-surface is 2 - 2g - b.
+rank 2g + b - 1 = (d-1)(n-1).
 """
 
 from __future__ import annotations
@@ -25,10 +24,6 @@ class SurfaceData:
     @property
     def rank(self) -> int:
         return 2 * self.genus + self.boundary - 1
-
-    @property
-    def euler_characteristic(self) -> int:
-        return 2 - 2 * self.genus - self.boundary
 
 
 def surface(d: int, n: int) -> SurfaceData:

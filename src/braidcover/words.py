@@ -9,23 +9,22 @@ literal letter-by-letter comparison.
 
 A letter has one stored spelling, a signed integer code: x[i,j] has code
 (i-1)*(d-1) + j, its inverse the negated code.  Words are spelled from
-outside as (i, j, sign) triples (`reduce`, `generator`) or as text
-(`parse_word`), and read back as codes or text (`format_word`).  An
-automorphism is stored only as its substitution table, the image codes of
-every basis generator; `apply`, `compose`, `equal` and `abelianize` read
-that table, and the Word views (`images`, `image(i, j)`) are built on
-demand.  `compose(f, g)` applies f first; `braid` folds every longer
-product from the right, so that each factor pushes only the rows it moves
-through the product of the later ones (`_compose_rows`).  Every
-substitution goes through one kernel, `_substitute`, with a memo its caller
-keeps for one table (one composite, or one `apply`): each negative code's
-inverted row, and the run cancelled where the images of a letter pair meet
-at a long seam, which for a fixed map depends on the pair alone.  The public
-constructor stores the rows as tuples and checks the parameters and that
-every row is a reduced word over the basis, so equal maps have equal
-tables; values derived from validated ones (composites, the identity,
-the three routes' tables) are built through the private `_trusted`
-constructor without a second check.
+outside as (i, j, sign) triples (`reduce`) or as text (`parse_word`), and
+read back as codes or text (`format_word`).  An automorphism is stored only
+as its substitution table, the image codes of every basis generator;
+`apply`, `compose`, `abelianize` and `==` read that table, and the Word
+views (`images`, `image(i, j)`) are built on demand.  `compose(f, g)`
+applies f first; `braid` folds every longer product from the right, so that
+each factor pushes only the rows it moves through the product of the later
+ones (`_compose_rows`).  Every substitution goes through one kernel,
+`_substitute`, with a memo its caller keeps for one table (one composite, or
+one `apply`): each negative code's inverted row, and the run cancelled where
+the images of a letter pair meet at a long seam, which for a fixed map
+depends on the pair alone.  The public constructor stores the rows as tuples
+and checks the parameters and that every row is a reduced word over the
+basis, so equal maps have equal tables; values derived from validated ones
+(composites, the identity, the three routes' tables) are built through the
+private `_trusted` constructor without a second check.
 All values are immutable and every operation is pure.
 """
 
@@ -270,17 +269,6 @@ def reduce(d: int, n: int, letters: Iterable[tuple[int, int, int]]) -> Word:
     return Word(d, n, _reduce_onto([], _encode(d, n, letters)))
 
 
-def empty_word(d: int, n: int) -> Word:
-    check_params(d, n)
-    return Word(d, n, ())
-
-
-def generator(d: int, n: int, i: int, j: int, sign: int = 1) -> Word:
-    """The word x[i,j]^sign (x[i,d] expands into the basis)."""
-    check_params(d, n)
-    return Word(d, n, _reduce_onto([], _expand_symbol(d, n, i, j, sign)))
-
-
 def multiply(a: Word, b: Word) -> Word:
     """Reduced concatenation; the empty word is the identity."""
     _same_params(a, b)
@@ -376,12 +364,6 @@ def compose(f: FreeAutomorphism, g: FreeAutomorphism) -> FreeAutomorphism:
     return FreeAutomorphism._trusted(f.d, f.n, _compose_rows(f.table, g.table))
 
 
-def equal(f: FreeAutomorphism, g: FreeAutomorphism) -> bool:
-    """Exact equality: identical reduced images on every generator."""
-    _same_params(f, g)
-    return f.table == g.table
-
-
 def abelianize(f: FreeAutomorphism) -> tuple[tuple[int, ...], ...]:
     """Integer matrix with entry (s, t) the signed count of x_t in f(x_s)."""
     r = rank(f.d, f.n)
@@ -408,31 +390,6 @@ def matrix_multiply(a, b) -> tuple[tuple[int, ...], ...]:
         tuple(sum(row[k] * b[k][c] for k in range(len(b))) for c in range(size))
         for row in a
     )
-
-
-def matrix_determinant(m) -> int:
-    """Exact integer determinant (fraction-free Bareiss elimination)."""
-    a = [list(row) for row in m]
-    size = len(a)
-    if size == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for p in range(size - 1):
-        if a[p][p] == 0:
-            for r in range(p + 1, size):
-                if a[r][p] != 0:
-                    a[p], a[r] = a[r], a[p]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r in range(p + 1, size):
-            for c in range(p + 1, size):
-                a[r][c] = (a[r][c] * a[p][p] - a[r][p] * a[p][c]) // prev
-            a[r][p] = 0
-        prev = a[p][p]
-    return sign * a[-1][-1]
 
 
 # -- text grammar ------------------------------------------------------------
@@ -486,5 +443,5 @@ def parse_word(d: int, n: int, text: str) -> Word:
     check_params(d, n)
     text = text.strip()
     if text in ("", "1"):
-        return empty_word(d, n)
+        return reduce(d, n, ())
     return reduce(d, n, _parse_tokens(text, "x"))

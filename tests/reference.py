@@ -1,0 +1,62 @@
+"""Independent references that the tests compare the package against.
+
+`matrix_determinant` witnesses unimodularity of abelianized actions, and
+`word_to_loop` is the x-loop route from words to basepoint loops, the
+inverse of `pi1.loop_to_word`, against which `pi1.functor_to_automorphism`
+is checked.  Nothing in the package calls them.
+"""
+
+from functools import lru_cache
+
+from braidcover import pi1, words
+from braidcover.groupoid import EdgePath
+
+
+def matrix_determinant(m) -> int:
+    """Exact integer determinant (fraction-free Bareiss elimination)."""
+    a = [list(row) for row in m]
+    size = len(a)
+    if size == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for p in range(size - 1):
+        if a[p][p] == 0:
+            for r in range(p + 1, size):
+                if a[r][p] != 0:
+                    a[p], a[r] = a[r], a[p]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for r in range(p + 1, size):
+            for c in range(p + 1, size):
+                a[r][c] = (a[r][c] * a[p][p] - a[r][p] * a[p][c]) // prev
+            a[r][p] = 0
+        prev = a[p][p]
+    return sign * a[-1][-1]
+
+
+@lru_cache(maxsize=None)
+def _x_loops(d: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Step codes of the loops x[i,j] = p_i * e[i,j] * e[i,j+1]^-1 * p_i^-1,
+    indexed by basis code - 1, each checked by the `EdgePath` constructor.
+
+    p_i = e[0,1]*...*e[i-1,1] is the tree path to interior vertex i (see
+    `pi1`); about d*n^2 steps in all.
+    """
+    base = pi1.basepoint(d, n)
+    loops = []
+    for i in range(1, n):
+        tree = [level * d + 1 for level in range(i)]
+        for j in range(1, d):
+            steps = (*tree, i * d + j, -(i * d + j + 1), *(-c for c in reversed(tree)))
+            loops.append(EdgePath(d, n, base, steps).steps)
+    return tuple(loops)
+
+
+def word_to_loop(w: words.Word) -> EdgePath:
+    """Concatenation of the defining x-loops, one per letter, reduced and
+    checked by the `EdgePath` constructor."""
+    d, n = w.d, w.n
+    return EdgePath(d, n, pi1.basepoint(d, n), words._substitute(_x_loops(d, n), w.codes, {}))

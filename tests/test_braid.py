@@ -30,15 +30,14 @@ from braidcover.braid import (
 )
 from braidcover.words import (
     compose,
-    equal,
     identity_automorphism,
     identity_matrix,
-    matrix_determinant,
     matrix_multiply,
     parse_word,
 )
 
 import strategies
+from reference import matrix_determinant
 
 
 # -- closed-form generator action -----------------------------------------------
@@ -82,7 +81,7 @@ def test_generator_index_range():
 def test_degenerate_two_sheet_two_point_cover_acts_trivially():
     # rank one: the lift is a twist along the single core loop, which the
     # surface group cannot see
-    assert equal(half_twist_action(2, 2, 1), identity_automorphism(2, 2))
+    assert half_twist_action(2, 2, 1) == identity_automorphism(2, 2)
 
 
 def test_generator_actions_are_nontrivial():
@@ -91,7 +90,7 @@ def test_generator_actions_are_nontrivial():
             if (d, n) == (2, 2):
                 continue
             for i in range(1, n):
-                assert not equal(half_twist_action(d, n, i), identity_automorphism(d, n))
+                assert half_twist_action(d, n, i) != identity_automorphism(d, n)
 
 
 # -- conjugate assembly ------------------------------------------------------------
@@ -105,7 +104,7 @@ def test_conjugate_form_first_clause_example():
 @pytest.mark.parametrize("n", range(2, 7))
 def test_conjugate_form_matches_closed_form(d, n):
     for i in range(1, n):
-        assert equal(conjugate_twist_action(d, n, i), half_twist_action(d, n, i))
+        assert conjugate_twist_action(d, n, i) == half_twist_action(d, n, i)
 
 
 # -- braid words and evaluation -----------------------------------------------------
@@ -127,24 +126,33 @@ def test_parse_and_format_braid():
         parse_braid(3, 4, "1 x")
 
 
+def test_parse_braid_reads_only_ascii_signed_integers():
+    # `int` alone reads "1_2" as the letter 12 and the Arabic-Indic digit
+    # "١" as 1, so a typo would evaluate a different braid
+    assert parse_braid(3, 13, "+1 -12 2").letters == (1, -12, 2)
+    for text in ("1_2", "١", "1 ٢", "1_2 3", "+-1", "１"):
+        with pytest.raises(ValueError, match="^cannot parse braid word"):
+            parse_braid(3, 13, text)
+
+
 def test_evaluate_generator_times_inverse_is_identity():
-    assert equal(evaluate(parse_braid(3, 2, "1 -1")), identity_automorphism(3, 2))
+    assert evaluate(parse_braid(3, 2, "1 -1")) == identity_automorphism(3, 2)
 
 
 def test_evaluate_empty_word_is_identity():
-    assert equal(evaluate(BraidWord(4, 4, ())), identity_automorphism(4, 4))
+    assert evaluate(BraidWord(4, 4, ())) == identity_automorphism(4, 4)
 
 
 def test_evaluate_satisfies_the_braid_relation():
     lhs = evaluate(parse_braid(3, 3, "1 2 1"))
     rhs = evaluate(parse_braid(3, 3, "2 1 2"))
-    assert equal(lhs, rhs)
+    assert lhs == rhs
 
 
 def test_evaluate_far_commutation():
     lhs = evaluate(parse_braid(3, 4, "1 3"))
     rhs = evaluate(parse_braid(3, 4, "3 1"))
-    assert equal(lhs, rhs)
+    assert lhs == rhs
 
 
 @given(strategies.braid_letters_with_params(max_size=10))
@@ -154,7 +162,7 @@ def test_evaluate_is_multiplicative(data):
     u, v = letters[:half], letters[half:]
     lhs = evaluate(BraidWord(d, n, letters))
     rhs = compose(evaluate(BraidWord(d, n, u)), evaluate(BraidWord(d, n, v)))
-    assert equal(lhs, rhs)
+    assert lhs == rhs
 
 
 @settings(max_examples=40)
@@ -162,7 +170,8 @@ def test_evaluate_is_multiplicative(data):
 def test_evaluate_inverse_law(data):
     d, n, letters = data
     bw = BraidWord(d, n, letters)
-    assert equal(compose(evaluate(bw), evaluate(bw.inverse())), identity_automorphism(d, n))
+    inverse = BraidWord(d, n, tuple(-s for s in reversed(letters)))
+    assert compose(evaluate(bw), evaluate(inverse)) == identity_automorphism(d, n)
 
 
 @given(strategies.braid_letters_with_params(max_size=10))
@@ -254,7 +263,7 @@ def test_compose_shares_the_rows_a_generator_fixes(data, pick):
 def test_inverse_generator_comes_from_the_inverse_lift():
     got = generator_action(4, 3, -2)
     via_functor = pi1.functor_to_automorphism(groupoid.lifted_half_twist_inverse(4, 3, 2))
-    assert equal(got, via_functor)
+    assert got == via_functor
 
 
 @settings(max_examples=40)
@@ -271,10 +280,7 @@ def test_functor_route_evaluation_matches_the_closed_form(data):
             else groupoid.lifted_half_twist_inverse(d, n, -s)
         )
         composite = groupoid.compose_functors(composite, lift)
-    assert equal(
-        pi1.functor_to_automorphism(composite),
-        evaluate(BraidWord(d, n, letters)),
-    )
+    assert pi1.functor_to_automorphism(composite) == evaluate(BraidWord(d, n, letters))
 
 
 # -- twist factorization --------------------------------------------------------------
@@ -282,15 +288,15 @@ def test_functor_route_evaluation_matches_the_closed_form(data):
 @pytest.mark.parametrize("d,n", [(3, 2), (4, 3), (2, 4), (5, 5)])
 def test_twist_product_equals_the_generator_action(d, n):
     for i in range(1, n):
-        assert equal(dehn_twist_product(d, n, i), half_twist_action(d, n, i))
+        assert dehn_twist_product(d, n, i) == half_twist_action(d, n, i)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_two_sheet_cover_needs_a_single_twist(n):
     for i in range(1, n):
         single = pi1.functor_to_automorphism(groupoid.dehn_twist(2, n, i, 2))
-        assert equal(single, half_twist_action(2, n, i))
-        assert equal(single, dehn_twist_product(2, n, i))
+        assert single == half_twist_action(2, n, i)
+        assert single == dehn_twist_product(2, n, i)
 
 
 @pytest.mark.parametrize("d,n,entries", [(2, 4, 1), (5, 3, 4)])
@@ -319,7 +325,7 @@ def test_each_twist_fixes_its_own_core_loop():
             for i in range(1, n):
                 for j in range(1, d + 1):
                     f = pi1.functor_to_automorphism(groupoid.dehn_twist(d, n, i, j))
-                    core = words.generator(d, n, i, j)
+                    core = words.reduce(d, n, [(i, j, 1)])
                     assert words.apply(f, core) == core
 
 
@@ -351,7 +357,7 @@ def test_relation_sides_and_the_twist_product_fold_from_the_right(monkeypatch):
         monkeypatch.setattr(module, name, first_noted)
     dehn_twist_product.cache_clear()
     assert check_braid_relations(4, 5).all_passed
-    assert equal(dehn_twist_product(5, 3, 1), half_twist_action(5, 3, 1))
+    assert dehn_twist_product(5, 3, 1) == half_twist_action(5, 3, 1)
     # 3 braid relations of two compositions a side and 3 far commutations
     # of one, at two levels; then 3 compositions of the 4 Dehn twists
     assert len(firsts) == 2 * 2 * (3 * 2 + 3 * 1) + 3

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from braidcover import groupoid, pi1, words
+from braidcover import groupoid, words
 from braidcover.errors import BudgetExceededError, EndpointMismatchError, ParameterMismatchError
 from braidcover.groupoid import (
     Edge,
@@ -34,6 +34,7 @@ from braidcover.groupoid import (
     vertices,
 )
 
+import reference
 import strategies
 
 
@@ -587,7 +588,7 @@ def test_derived_paths_and_functors_pass_the_public_constructors(dn, seed):
         _assert_valid_path(derived)
     letters = [(rng.randint(1, n - 1), rng.randint(1, d), rng.choice((1, -1)))
                for _ in range(rng.randint(0, 12))]
-    loop = pi1.word_to_loop(words.reduce(d, n, letters))
+    loop = reference.word_to_loop(words.reduce(d, n, letters))
     _assert_valid_path(loop)
     _assert_valid_path(apply_functor(F, loop))
 

@@ -21,25 +21,11 @@ from braidcover.groupoid import (
     path_compose,
     path_invert,
 )
-from braidcover.pi1 import (
-    _edge_words,
-    _x_loops,
-    basepoint,
-    functor_to_automorphism,
-    loop_to_word,
-    word_to_loop,
-)
-from braidcover.words import (
-    Word,
-    empty_word,
-    equal,
-    generator,
-    identity_automorphism,
-    multiply,
-    parse_word,
-)
+from braidcover.pi1 import _edge_words, basepoint, functor_to_automorphism, loop_to_word
+from braidcover.words import Word, identity_automorphism, multiply, parse_word
 
 import strategies
+from reference import _x_loops, word_to_loop
 
 
 def _tree_path(i):
@@ -56,7 +42,7 @@ def _geometric_loop(d, n, i, a, b):
 
 
 def _x_loop(d, n, i, j):
-    return word_to_loop(generator(d, n, i, j))
+    return word_to_loop(words.reduce(d, n, [(i, j, 1)]))
 
 
 # -- spanning tree ---------------------------------------------------------------
@@ -183,7 +169,7 @@ def test_prefix_loops_rewrite_to_prefix_products(d, n):
 
 
 def test_empty_loop_rewrites_to_the_empty_word():
-    assert loop_to_word(empty_path(3, 3, basepoint(3, 3))) == empty_word(3, 3)
+    assert loop_to_word(empty_path(3, 3, basepoint(3, 3))) == words.reduce(3, 3, ())
 
 
 def test_loop_to_word_rejects_open_paths():
@@ -200,7 +186,7 @@ def test_loop_to_word_respects_the_letter_budget(monkeypatch):
 
 def test_word_to_loop_examples():
     assert word_to_loop(parse_word(3, 2, "x[1,1]")) == _geometric_loop(3, 2, 1, 1, 2)
-    assert word_to_loop(empty_word(3, 2)) == empty_path(3, 2, basepoint(3, 2))
+    assert word_to_loop(words.reduce(3, 2, ())) == empty_path(3, 2, basepoint(3, 2))
 
 
 @given(strategies.words_with_params(max_size=32))
@@ -227,15 +213,13 @@ def test_basis_loops_are_nontrivial(d, n):
 # -- functors to automorphisms ------------------------------------------------------------
 
 def test_identity_functor_gives_the_identity_automorphism():
-    assert equal(
-        functor_to_automorphism(identity_functor(4, 3)), identity_automorphism(4, 3)
-    )
+    assert functor_to_automorphism(identity_functor(4, 3)) == identity_automorphism(4, 3)
 
 
 @pytest.mark.parametrize("i", [1, 2])
 def test_lift_action_matches_the_closed_form(i):
     got = functor_to_automorphism(lifted_half_twist(3, 3, i))
-    assert equal(got, braid.half_twist_action(3, 3, i))
+    assert got == braid.half_twist_action(3, 3, i)
 
 
 @given(
@@ -255,7 +239,7 @@ def test_functor_to_automorphism_is_functorial(dn, data):
     F, G = pick("first"), pick("second")
     lhs = functor_to_automorphism(compose_functors(F, G))
     rhs = words.compose(functor_to_automorphism(F), functor_to_automorphism(G))
-    assert equal(lhs, rhs)
+    assert lhs == rhs
 
 
 def _functors(d, n):
@@ -281,7 +265,7 @@ def test_functor_action_on_basis_loops_matches_word_images():
 def test_a_long_strand_count_translates_in_linear_time():
     d, n = 2, 2000
     f = words.compose(braid.half_twist_action(d, n, 1), braid.generator_action(d, n, -1))
-    assert equal(f, identity_automorphism(d, n))
+    assert f == identity_automorphism(d, n)
 
 
 def test_an_oversized_table_is_refused_after_o_budget_work(monkeypatch):

@@ -55,7 +55,6 @@ def test_rank_identity_and_integrality_across_the_grid():
             assert s.rank == (d - 1) * (n - 1)
             assert s.genus >= 0
             assert s.boundary == math.gcd(d, n)
-            assert s.euler_characteristic == 2 - 2 * s.genus - s.boundary
 
 
 @pytest.mark.parametrize("d,n", [(2, 2), (3, 4), (4, 3), (6, 5)])
