@@ -368,3 +368,40 @@ def test_stdout_matches_the_golden_digest(capsys, argv, text_sha1, structured_sh
         code, out, err = run_cli(capsys, *argv, "--output-mode", mode)
         assert (code, err) == (0, ""), (argv, mode)
         assert hashlib.sha1(out.encode()).hexdigest() == want, (argv, mode)
+
+
+# sha1 of repr((exit status, stdout, stderr)) of the help texts and of the
+# usage errors argparse refuses, pinned with Python 3.11's argparse at 80
+# columns; a change to how the subcommands are declared must not change one
+# printed byte
+GOLDEN_USAGE = [
+    ("help", ("--help",), "dd4efdf017803731481f401c43a25a7789ef6c71"),
+    ("surface-help", ("surface", "--help"), "d07c8f48f5d4eb9ae4ea1502f373a9d421e4aeb3"),
+    ("tables-help", ("tables", "--help"), "a819d94d13b5ad75b9ce29627012c8ff8a0c7269"),
+    ("lift-help", ("lift", "--help"), "ea2c2c167dc91dab856c666163aa3bc609e4363f"),
+    ("dehn-help", ("dehn", "--help"), "54de5f1d05a060c93d8d89d5dfc7f3b258599c5b"),
+    ("aut-help", ("aut", "--help"), "9b31309a5c8db056104f9fb746a98c69080c728f"),
+    ("eval-help", ("eval", "--help"), "784bc06538b300c632bbc1dae5d192552374f1a9"),
+    ("matrix-help", ("matrix", "--help"), "ecf401b2a80853439e2dc339ba11cb4009aa206a"),
+    ("verify-help", ("verify", "--help"), "642c21f1403347fd045a3bcdefc8bb68e8c91fc8"),
+    ("no-command", (), "05396a028b4828f671595ac7d613c1ebba200fa5"),
+    ("missing-option", ("surface", "--d", "4"), "47f66c15612048939f56dcea2fb892cbdac83764"),
+    ("bad-int", ("surface", "--d", "abc", "--n", "3"), "1cf3e3608b7ec211621b4a39bcbb2ad320b7c0bc"),
+    ("bad-suite", ("verify", "--d", "3", "--n", "3", "--suite", "bogus"),
+     "509462aa64cc409575c444a14504f2e9d2b6be07"),
+    ("bad-output-mode", ("surface", "--d", "4", "--n", "3", "--output-mode", "json"),
+     "55ad1fcd3ac34459eb5a7f5fb6a1f333a477eec8"),
+    ("unknown-command", ("spectacle",), "3b6818db110d1f5754869dcb3be32c42f0ce1ab3"),
+]
+
+
+@pytest.mark.parametrize("argv,sha1", [case[1:] for case in GOLDEN_USAGE],
+                         ids=[case[0] for case in GOLDEN_USAGE])
+def test_help_and_usage_errors_match_the_golden_digest(capsys, monkeypatch, argv, sha1):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert hashlib.sha1(repr((code, out, err)).encode()).hexdigest() == sha1, (code, out, err)
