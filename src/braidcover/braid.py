@@ -27,7 +27,6 @@ twists along x[i,2], ..., x[i,d] reproduces the lifted half twist.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -62,14 +61,11 @@ class BraidWord:
 def parse_braid(d: int, n: int, text: str) -> BraidWord:
     """Whitespace-separated signed integers, e.g. '1 2 -1'.
 
-    Only ASCII digits after an optional sign: `int` alone would also read
-    `1_2` as 12 and non-ASCII digits as their values.
+    Each letter is ASCII digits after an optional sign, the rule of every
+    index in the word and path grammar (`words._parse_int`).
     """
-    tokens = text.split()
     try:
-        if not all(re.fullmatch(r"[+-]?[0-9]+", tok) for tok in tokens):
-            raise ValueError
-        letters = tuple(map(int, tokens))  # int refuses a token past its digit limit
+        letters = tuple(map(words._parse_int, text.split()))
     except ValueError:
         raise ValueError(f"cannot parse braid word {text!r}") from None
     return BraidWord(d, n, letters)
@@ -110,7 +106,6 @@ def half_twist_action(d: int, n: int, i: int) -> FreeAutomorphism:
     return _automorphism_from_images(d, n, image)
 
 
-@lru_cache(maxsize=None)
 def conjugate_twist_action(d: int, n: int, i: int) -> FreeAutomorphism:
     """Same action assembled from prefix loops; the `cross` suite compares
     it with the closed form (a mismatch means a transcription bug)."""
@@ -223,7 +218,6 @@ def evaluate(w: BraidWord) -> FreeAutomorphism:
         ) from None
 
 
-@lru_cache(maxsize=None)
 def dehn_twist_product(d: int, n: int, i: int) -> FreeAutomorphism:
     """Action of the product of the d-1 twists along x[i,2], ..., x[i,d].
 

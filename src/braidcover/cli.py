@@ -3,7 +3,8 @@
 Every printed line is deterministic: generators are ordered by (i, j),
 edges by (level, sheet), checks by generator index.  Exit status is 0 on
 success (all checks passed), 1 on a verification failure or resource
-exhaustion, 2 on a usage error.
+exhaustion, 2 on a usage error.  Each subcommand is declared once, in
+`_COMMANDS`, and each option's `add_argument` keywords once, in `_OPTIONS`.
 """
 
 from __future__ import annotations
@@ -60,7 +61,8 @@ def _print_matrix(matrix, mode: str) -> None:
         print(" ".join(str(x).rjust(width) for x in row))
 
 
-def _print_report(report: braid.Report, mode: str) -> None:
+def _print_report(report: braid.Report, mode: str) -> int:
+    """Print every check and return the exit status: 0 iff all passed."""
     for check in report.checks:
         if mode == "structured":
             # names and details hold spaces and '=', so they print as JSON
@@ -79,6 +81,43 @@ def _print_report(report: braid.Report, mode: str) -> None:
             print(f"FAIL: {failed} of {len(report)} checks failed")
         else:
             print(f"ok: {len(report)} checks passed")
+    return 1 if failed else 0
+
+
+# option -> add_argument keywords; every subcommand also takes --output-mode
+_OPTIONS = {
+    "d": dict(type=int, required=True, help="sheet count, d >= 2"),
+    "n": dict(type=int, required=True, help="branch points, n >= 2"),
+    "n-max": dict(type=int, required=True, help="largest branch-point count to tabulate"),
+    "i": dict(type=int, required=True, help="generator index, 1 <= i <= n-1"),
+    "j": dict(type=int, required=True, help="sheet index of the twist loop"),
+    "word": dict(required=True, help="braid word as signed indices, e.g. '1 2 -1'"),
+    "suite": dict(choices=(*braid.SUITES, "all"), default="all",
+                  help="which verification suite to run"),
+    "output-mode": dict(choices=("text", "structured"), default="text",
+                        help="human text or one machine-readable record per object"),
+}
+
+# (name, help, options, action): the action prints what the command asks
+# for in the output mode m and may return a nonzero exit status
+_COMMANDS = (
+    ("surface", "genus, boundary count and rank of one cover", "d n",
+     lambda a, m: _print_surface(surface_data(a.d, a.n), m)),
+    ("tables", "invariant table for n = 1..n-max", "d n-max",
+     lambda a, m: _print_tables(surface_table(a.d, a.n_max), m)),
+    ("lift", "edge images of the lifted half twist", "d n i",
+     lambda a, m: _print_map(groupoid.lifted_half_twist(a.d, a.n, a.i), "edge", m)),
+    ("dehn", "edge images of the twist along the loop with indices (i, j)", "d n i j",
+     lambda a, m: _print_map(groupoid.dehn_twist(a.d, a.n, a.i, a.j), "edge", m)),
+    ("aut", "generator images of the braid generator action", "d n i",
+     lambda a, m: _print_map(braid.half_twist_action(a.d, a.n, a.i), "generator", m)),
+    ("eval", "generator images of an evaluated braid word", "d n word",
+     lambda a, m: _print_map(braid.evaluate(braid.parse_braid(a.d, a.n, a.word)), "generator", m)),
+    ("matrix", "abelianized integer matrix of an evaluated braid word", "d n word",
+     lambda a, m: _print_matrix(braid.braid_matrix(braid.parse_braid(a.d, a.n, a.word)), m)),
+    ("verify", "run machine verification suites; exit 0 iff all pass", "d n suite",
+     lambda a, m: _print_report(braid.run_suite(a.d, a.n, a.suite), m)),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -87,67 +126,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Braid group actions on free groups from branched covers of a disk.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str, *, d=True, n=True, i=False, j=False,
-            word=False, n_max=False, suite=False):
+    for name, help_text, options, action in _COMMANDS:
         cmd = sub.add_parser(name, help=help_text)
-        if d:
-            cmd.add_argument("--d", type=int, required=True, help="sheet count, d >= 2")
-        if n:
-            cmd.add_argument("--n", type=int, required=True, help="branch points, n >= 2")
-        if n_max:
-            cmd.add_argument("--n-max", type=int, required=True, dest="n_max",
-                             help="largest branch-point count to tabulate")
-        if i:
-            cmd.add_argument("--i", type=int, required=True, help="generator index, 1 <= i <= n-1")
-        if j:
-            cmd.add_argument("--j", type=int, required=True, help="sheet index of the twist loop")
-        if word:
-            cmd.add_argument("--word", type=str, required=True,
-                             help="braid word as signed indices, e.g. '1 2 -1'")
-        if suite:
-            cmd.add_argument("--suite", choices=(*braid.SUITES, "all"),
-                             default="all", help="which verification suite to run")
-        cmd.add_argument("--output-mode", choices=("text", "structured"), default="text",
-                         help="human text or one machine-readable record per object")
-        return cmd
-
-    add("surface", "genus, boundary count and rank of one cover")
-    add("tables", "invariant table for n = 1..n-max", n=False, n_max=True)
-    add("lift", "edge images of the lifted half twist", i=True)
-    add("dehn", "edge images of the twist along the loop with indices (i, j)", i=True, j=True)
-    add("aut", "generator images of the braid generator action", i=True)
-    add("eval", "generator images of an evaluated braid word", word=True)
-    add("matrix", "abelianized integer matrix of an evaluated braid word", word=True)
-    add("verify", "run machine verification suites; exit 0 iff all pass", suite=True)
+        for option in (*options.split(), "output-mode"):
+            cmd.add_argument(f"--{option}", **_OPTIONS[option])
+        cmd.set_defaults(action=action)
     return parser
 
 
 def run(args: argparse.Namespace) -> int:
-    mode = args.output_mode
-    if args.command == "surface":
-        _print_surface(surface_data(args.d, args.n), mode)
-    elif args.command == "tables":
-        _print_tables(surface_table(args.d, args.n_max), mode)
-    elif args.command == "lift":
-        _print_map(groupoid.lifted_half_twist(args.d, args.n, args.i), "edge", mode)
-    elif args.command == "dehn":
-        _print_map(groupoid.dehn_twist(args.d, args.n, args.i, args.j), "edge", mode)
-    elif args.command == "aut":
-        _print_map(braid.half_twist_action(args.d, args.n, args.i), "generator", mode)
-    elif args.command == "eval":
-        w = braid.parse_braid(args.d, args.n, args.word)
-        _print_map(braid.evaluate(w), "generator", mode)
-    elif args.command == "matrix":
-        w = braid.parse_braid(args.d, args.n, args.word)
-        _print_matrix(braid.braid_matrix(w), mode)
-    elif args.command == "verify":
-        report = braid.run_suite(args.d, args.n, args.suite)
-        _print_report(report, mode)
-        return 0 if report.all_passed else 1
-    else:
-        raise AssertionError(f"unhandled command {args.command}")
-    return 0
+    return args.action(args, args.output_mode) or 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -21,10 +21,10 @@ collapses sheets onto it.  Paths and functors accept any d >= 1, while the
 twist lifts need a genuine cover, d >= 2.  Everything is immutable and pure.
 
 Validation happens at the boundary.  The public constructors `EdgePath(...)`
-and `GroupoidFunctor(...)`, and with them `path`, `empty_path`, `parse_path`
-and every hand-written twist table, walk step sequences (`_walk`) to check
-endpoints and free reduction; a functor's vertex map must also permute the
-interior vertices.  A functor walks, in code order, the rows that differ from
+and `GroupoidFunctor(...)`, and with them `empty_path`, `parse_path` and
+every hand-written twist table, walk step sequences (`_walk`) to check
+endpoints and free reduction; `path` walks its steps as given, then reduces
+them.  A functor's vertex map must also permute the interior vertices.  A functor walks, in code order, the rows that differ from
 the identity's and all rows at the two levels around each vertex it moves; any
 other row is an identity row between fixed vertices, which is valid, so the
 first row refused is the one a full walk refuses first.  Values derived from
@@ -39,14 +39,15 @@ without a second check.  A graph whose edge table would exceed
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import compress, count
 from operator import ne
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import EndpointMismatchError
-from .words import _compose_rows, _format_codes, _parse_tokens, _reduce_onto, _same_params
-from .words import _substitute, _trusted_init, check_index, check_params, check_table_size
+from .words import _compose_rows, _format_codes, _parse_int, _parse_tokens, _reduce_onto
+from .words import _same_params, _substitute, _trusted_init, check_index, check_params
+from .words import check_table_size
 
 
 class Vertex(NamedTuple):
@@ -192,7 +193,8 @@ def path(d: int, n: int, steps: Iterable, start: Vertex | None = None) -> EdgePa
     """Path from (level, sheet, direction) triples, freely reduced.
 
     `start` is only needed for the empty path; otherwise it is inferred
-    from the first step and the whole chain is checked for compatibility.
+    from the first step.  The steps are checked as given: each one must
+    begin where the one before it ends, even where two of them cancel.
     """
     check_params(d, n, 1)
     codes = []
@@ -200,12 +202,15 @@ def path(d: int, n: int, steps: Iterable, start: Vertex | None = None) -> EdgePa
         if direction not in (1, -1):
             raise ValueError(f"step direction must be +1 or -1, got {direction}")
         codes.append(direction * _edge_code(d, n, i, j))
-    reduced = _reduce_onto([], codes)
-    if start is None:
-        if not codes:
+    if not codes:
+        if start is None:
             raise ValueError("an empty path needs an explicit start vertex")
-        start = _step_ends(d, n, codes[0])[0]
-    return EdgePath(d, n, start, reduced)
+        return empty_path(d, n, start)
+    at = start = _step_ends(d, n, codes[0])[0] if start is None else start
+    _check_vertex(d, n, start)
+    for code in codes:  # one step at a time, so a cancelling pair is walked too
+        at = _walk(d, n, at, (code,))
+    return EdgePath._trusted(d, n, start, _reduce_onto([], codes))
 
 
 def empty_path(d: int, n: int, at: Vertex) -> EdgePath:
@@ -356,7 +361,6 @@ def lifted_half_twist(d: int, n: int, i: int) -> GroupoidFunctor:
     return _functor(d, n, images)
 
 
-@lru_cache(maxsize=None)
 def lifted_half_twist_inverse(d: int, n: int, i: int) -> GroupoidFunctor:
     """Lift of the inverse half twist, e[i-1,j] -> e[i-1,j]*e[i,j],
     e[i,j] -> e[i,j-1]^-1, e[i+1,j] -> e[i,j-1]*e[i+1,j]: the lift
@@ -487,11 +491,13 @@ def parse_path(d: int, n: int, text: str) -> EdgePath:
     check_params(d, n, 1)
     text = text.strip()
     if text.startswith("v"):
-        if text.startswith("v0[") and text.endswith("]"):
-            return empty_path(d, n, left_boundary(int(text[3:-1])))
-        if text.startswith("vN1[") and text.endswith("]"):
-            return empty_path(d, n, right_boundary(n, int(text[4:-1])))
-        if text.startswith("v[") and text.endswith("]"):
-            return empty_path(d, n, interior(int(text[2:-1])))
+        for head, vertex in (("v0[", left_boundary), ("vN1[", partial(right_boundary, n)),
+                             ("v[", interior)):
+            if text.startswith(head) and text.endswith("]"):
+                try:
+                    index = _parse_int(text[len(head):-1])
+                except ValueError:
+                    break
+                return empty_path(d, n, vertex(index))
         raise ValueError(f"cannot parse vertex token {text!r}")
     return path(d, n, _parse_tokens(text, "e"))

@@ -30,6 +30,7 @@ All values are immutable and every operation is pure.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, count, islice, pairwise
@@ -417,6 +418,15 @@ def _format_codes(codes: tuple[int, ...], prefix: str, span: int, first: int) ->
     return "*".join(map(_Spelling(prefix, span, first).__getitem__, codes))
 
 
+def _parse_int(text: str) -> int:
+    """ASCII digits after an optional sign, blanks around them allowed; `int`
+    alone would also read `1_2` as 12 and non-ASCII digits as their values,
+    and it still refuses a number past its digit limit."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text.strip()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _parse_tokens(text: str, prefix: str) -> list[tuple[int, int, int]]:
     """(i, j, sign) of every `prefix[i,j]` token in a `*`-joined product."""
     head = prefix + "["
@@ -428,7 +438,7 @@ def _parse_tokens(text: str, prefix: str) -> list[tuple[int, int, int]]:
             if not (body.startswith(head) and body.endswith("]")):
                 raise ValueError
             i_text, j_text = body[len(head):-1].split(",")
-            triples.append((int(i_text), int(j_text), sign))
+            triples.append((_parse_int(i_text), _parse_int(j_text), sign))
         except ValueError:
             raise ValueError(f"cannot parse {prefix}[i,j] token {token!r}") from None
     return triples

@@ -303,7 +303,7 @@ def test_two_sheet_cover_needs_a_single_twist(n):
 def test_a_twist_product_builds_no_twist_it_does_not_use(d, n, entries):
     # the twist at sheet d is written out, and the twists at sheets 2..d-1
     # are its deck translates, so no sheet-1 twist is built on the way
-    caches = (dehn_twist_product, groupoid.dehn_twist)
+    caches = (groupoid.dehn_twist,)
     for cached in caches:
         cached.cache_clear()
     try:
@@ -355,7 +355,6 @@ def test_relation_sides_and_the_twist_product_fold_from_the_right(monkeypatch):
             firsts.append(f)
             return compose(f, g)
         monkeypatch.setattr(module, name, first_noted)
-    dehn_twist_product.cache_clear()
     assert check_braid_relations(4, 5).all_passed
     assert dehn_twist_product(5, 3, 1) == half_twist_action(5, 3, 1)
     # 3 braid relations of two compositions a side and 3 far commutations
@@ -522,7 +521,7 @@ def test_generator_tables_are_bounded_by_their_letters(monkeypatch, build):
     # at d = 6, n = 4, i = 2 the 15 generator images hold 85 letters; the row
     # count (15), the edge count (30) and the longest row (14) are far below
     # either budget
-    caches = (half_twist_action, conjugate_twist_action)
+    caches = (half_twist_action,)
     for cached in caches:
         cached.cache_clear()
     try:

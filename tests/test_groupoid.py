@@ -2,6 +2,7 @@
 
 import functools
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -392,7 +393,6 @@ def test_inverse_lift_validates_only_the_lift_and_composes_nothing(monkeypatch):
     monkeypatch.setattr(groupoid, "compose_functors",
                         lambda F, G: composed.append((F, G)) or compose_functors(F, G))
     lifted_half_twist.cache_clear()
-    lifted_half_twist_inverse.cache_clear()
     inverse = lifted_half_twist_inverse(4, 3, 2)
     assert validated == [lifted_half_twist(4, 3, 2)]
     assert composed == []
@@ -691,10 +691,32 @@ def test_path_grammar_round_trip():
     assert format_path(empty_path(4, 3, left_boundary(1))) == "v0[1]"
 
 
-@pytest.mark.parametrize("bad", ["e[1]", "x[1,1]", "e[1,1]^2", "v[9]", "e[9,1]"])
+@pytest.mark.parametrize("bad", ["e[1]", "x[1,1]", "e[1,1]^2", "v[9]", "e[9,1]",
+                                 "e[0_1,1]", "e[0,\u0662]", "v[0_1]", "v0[\u0661]",
+                                 "vN1[\u0662]", "v0[a]", "e[0,1]*e[2,1]*e[2,1]^-1"])
 def test_parse_path_rejects_bad_tokens(bad):
     with pytest.raises(ValueError):
         parse_path(3, 2, bad)
+
+
+def test_vertex_tokens_are_refused_by_name():
+    for bad in ("v0[a]", "v0[\u0661]", "v[0_1]", "vN1[1_0]"):
+        with pytest.raises(ValueError, match=re.escape(f"cannot parse vertex token {bad!r}")):
+            parse_path(3, 2, bad)
+    # blanks and a sign inside the brackets still read
+    assert parse_path(3, 2, " v0[ +2 ] ") == empty_path(3, 2, left_boundary(2))
+
+
+def test_path_checks_the_steps_as_given_before_it_reduces_them():
+    # e[2,1] begins at v[2], but e[0,1] ends at v[1]: the pair e[2,1]*e[2,1]^-1
+    # cancels, yet the chain does not meet
+    with pytest.raises(EndpointMismatchError, match="begins at"):
+        path(3, 2, [(0, 1, 1), (2, 1, 1), (2, 1, -1)])
+    # a chain that meets and cancels still reduces
+    assert parse_path(3, 2, "e[0,1]*e[1,1]*e[1,1]^-1") == path(3, 2, [(0, 1, 1)])
+    assert path(3, 2, [(1, 1, 1), (1, 1, -1)]) == empty_path(3, 2, interior(1))
+    with pytest.raises(ValueError, match="no interior vertex"):
+        path(3, 2, [(0, 1, 1)], start=interior(9))
 
 
 def test_format_path_spells_two_digit_indices():

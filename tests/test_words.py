@@ -513,10 +513,16 @@ def test_any_word_round_trips_through_text(data):
     assert parse_word(d, n, format_word(u)) == u
 
 
-@pytest.mark.parametrize("bad", ["x[1]", "y[1,1]", "x[1,1]^2", "x[a,1]", "x[1,1]*"])
+@pytest.mark.parametrize("bad", ["x[1]", "y[1,1]", "x[1,1]^2", "x[a,1]", "x[1,1]*",
+                                 "x[0_1,1]", "x[1,1_0]", "x[\u0661,1]", "x[1,\u0662]"])
 def test_parse_word_rejects_bad_tokens(bad):
     with pytest.raises(ValueError):
         parse_word(3, 3, bad)
+
+
+def test_token_indices_keep_a_sign_and_blanks():
+    assert parse_word(3, 3, "x[1,-1]") == parse_word(3, 3, "x[1,2]")
+    assert parse_word(3, 3, "x[ +1 , 2 ]*x[2,1]^-1") == parse_word(3, 3, "x[1,2]*x[2,1]^-1")
 
 
 def test_out_of_range_symbol_rejected():
