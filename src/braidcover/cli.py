@@ -98,8 +98,8 @@ _OPTIONS = {
                         help="human text or one machine-readable record per object"),
 }
 
-# (name, help, options, action): the action prints what the command asks
-# for in the output mode m and may return a nonzero exit status
+# (name, help, options, action); each action looks its callee up when it runs,
+# prints the result in output mode m and may return a nonzero exit status
 _COMMANDS = (
     ("surface", "genus, boundary count and rank of one cover", "d n",
      lambda a, m: _print_surface(surface_data(a.d, a.n), m)),
