@@ -23,11 +23,12 @@ twist lifts need a genuine cover, d >= 2.  Everything is immutable and pure.
 Validation happens at the boundary.  The public constructors `EdgePath(...)`
 and `GroupoidFunctor(...)`, and with them `empty_path`, `parse_path` and
 every hand-written twist table, walk step sequences (`_walk`) to check
-endpoints and free reduction; `path` walks its steps as given, then reduces
-them.  A functor's vertex map must also permute the interior vertices.  A functor walks, in code order, the rows that differ from
-the identity's and all rows at the two levels around each vertex it moves; any
-other row is an identity row between fixed vertices, which is valid, so the
-first row refused is the one a full walk refuses first.  Values derived from
+endpoints and free reduction (`path` walks its steps as given, then reduces
+them); a functor's vertex map must also permute the interior vertices.  A
+functor walks, in code order, the rows that differ from the identity's and
+all rows at the two levels around each vertex it moves; any other row is an
+identity row between fixed vertices, which is valid, so the first row
+refused is the one a full walk refuses first.  Values derived from
 validated ones -- images, composites, inverses, projections and the twists
 `_relabel` conjugates by a level-keeping graph automorphism (the inverse lift
 by a sheet reflection, Dehn twists at sheets j != d by a deck shift) -- are
