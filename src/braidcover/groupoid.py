@@ -25,24 +25,21 @@ and `GroupoidFunctor(...)`, and with them `empty_path`, `parse_path` and
 every hand-written twist table, walk step sequences (`_walk`) to check
 endpoints and free reduction (`path` walks its steps as given, then reduces
 them); a functor's vertex map must also permute the interior vertices.  A
-functor walks, in code order, the rows that differ from the identity's and
-all rows at the two levels around each vertex it moves; any other row is an
-identity row between fixed vertices, which is valid, so the first row
-refused is the one a full walk refuses first.  Values derived from
-validated ones -- images, composites, inverses, projections and the twists
-`_relabel` conjugates by a level-keeping graph automorphism (the inverse lift
-by a sheet reflection, Dehn twists at sheets j != d by a deck shift) -- are
-valid by construction and built through the private `_trusted` constructors
-without a second check.  A graph whose edge table would exceed
-`words.LETTER_BUDGET` is refused before anything is allocated.
+functor walks its rows in code order and skips only a row equal to the
+identity's whose two endpoints its vertex map fixes: that row is valid.
+Values derived from validated ones -- images, composites, inverses,
+projections and the twists `_relabel` conjugates by a level-keeping graph
+automorphism (the inverse lift by a sheet reflection, Dehn twists at sheets
+j != d by a deck shift) -- are valid by construction and built through the
+private `_trusted` constructors without a second check.  A graph whose edge
+table would exceed `words.LETTER_BUDGET` is refused before anything is
+allocated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import compress, count
-from operator import ne
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import EndpointMismatchError
@@ -237,9 +234,10 @@ class GroupoidFunctor:
     """Self-functor given by its edge substitution table alone.
 
     Construction checks that the vertex map read off the rows permutes the
-    interior vertices, then walks each row that can fail (module docstring)
-    from the image of its edge's source: it must be a reduced path ending at
-    the image of the edge's target, so a boundary row begins at its vertex.
+    interior vertices, then walks the rows in code order, each from the
+    image of its edge's source: it must be a reduced path ending at the image
+    of the edge's target, so a boundary row begins at its vertex.  Only an
+    identity row between fixed vertices is skipped.
     """
 
     d: int
@@ -261,16 +259,16 @@ class GroupoidFunctor:
         moved = [self.vertex(v) for v in verts[:n]]
         if sorted(moved) != list(verts[:n]):
             raise EndpointMismatchError("e[i,1] images must begin at distinct interior vertices")
-        image_of = dict(zip(verts, (*moved, *verts[n:])))
-        walked = {code for v, image in zip(verts, moved) if image != v
-                  for code in range((v.level - 1) * d + 1, (v.level + 1) * d + 1)}
-        walked.update(compress(count(1), map(ne, table, identity_functor(d, n).table)))
-        for code in sorted(walked):
-            (source, target), row = ends[code - 1], table[code - 1]
-            end = _walk(d, n, image_of[source], row)
-            if end != image_of[target]:
+        image_of = dict(zip(verts[:n], moved))
+        rows = zip(ends, table, identity_functor(d, n).table)
+        for code, ((source, target), row, fixed) in enumerate(rows, 1):
+            start, stop = image_of.get(source, source), image_of.get(target, target)
+            if row == fixed and start == source and stop == target:
+                continue  # an identity row between fixed vertices is valid
+            end = _walk(d, n, start, row)
+            if end != stop:
                 raise EndpointMismatchError(
-                    f"image of edge code {code} ends at {end}, expected {image_of[target]}"
+                    f"image of edge code {code} ends at {end}, expected {stop}"
                 )
 
     _trusted = classmethod(_trusted_init)

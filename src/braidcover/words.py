@@ -178,14 +178,14 @@ def _substitute(table, codes: Iterable[int], memo: dict) -> tuple[int, ...]:
     meets image(c) on their own, scanned once per pair: if K < tail the run
     is K and nothing is scanned, else the first `tail` letters cancel and
     the scan of the output starts there.  The short regime pays for this
-    only the bookkeeping of `prev`, `cut` and `cut_len`.  The budget is
-    checked once per code, so a blow-up stops early.
+    only the bookkeeping of `prev` and `cut`.  The budget is checked once
+    per code, so a blow-up stops early.
     """
     out: list[int] = []
     budget = LETTER_BUDGET
-    # prev: the previous code; cut letters of its image cancelled at its
-    # seam if `out` still holds cut_len letters, none otherwise
-    prev = cut = cut_len = 0
+    # prev: the previous code; cut: the letters of its image cancelled at
+    # its seam, 0 if it was appended whole
+    prev = cut = 0
     for c in codes:
         img = table[c - 1] if c > 0 else memo.get(c)
         if img is None:
@@ -197,7 +197,7 @@ def _substitute(table, codes: Iterable[int], memo: dict) -> tuple[int, ...]:
                 # tail: the letters of image(prev) still ending `out` (below
                 # 1 also when image(prev) is empty)
                 last = table[prev - 1] if prev > 0 else memo[prev]
-                tail = len(last) - cut if len(out) == cut_len else len(last)
+                tail = len(last) - cut
                 k = 1
                 if tail > 1:
                     k = memo.get((prev, c))
@@ -213,9 +213,10 @@ def _substitute(table, codes: Iterable[int], memo: dict) -> tuple[int, ...]:
                     out.pop()
                     k += 1
             out.extend(img[k:])
-            cut, cut_len = k, len(out)
+            cut = k
         else:
             out.extend(img)
+            cut = 0
         prev = c
         if len(out) > budget:
             raise BudgetExceededError(f"result exceeds the letter budget of {budget}")

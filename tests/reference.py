@@ -1,14 +1,17 @@
 """Independent references that the tests compare the package against.
 
-`matrix_determinant` witnesses unimodularity of abelianized actions, and
+`matrix_determinant` witnesses unimodularity of abelianized actions,
 `word_to_loop` is the x-loop route from words to basepoint loops, the
 inverse of `pi1.loop_to_word`, against which `pi1.functor_to_automorphism`
-is checked.  Nothing in the package calls them.
+is checked, and `walk_every_row` is the functor validation that walks every
+row, against which the `GroupoidFunctor` constructor is checked.  Nothing
+in the package calls them.
 """
 
 from functools import lru_cache
 
-from braidcover import pi1, words
+from braidcover import groupoid, pi1, words
+from braidcover.errors import EndpointMismatchError
 from braidcover.groupoid import EdgePath
 
 
@@ -60,3 +63,33 @@ def word_to_loop(w: words.Word) -> EdgePath:
     checked by the `EdgePath` constructor."""
     d, n = w.d, w.n
     return EdgePath(d, n, pi1.basepoint(d, n), words._substitute(_x_loops(d, n), w.codes, {}))
+
+
+def walk_every_row(d: int, n: int, table) -> None:
+    """Raise as the `GroupoidFunctor` constructor does on an invalid table
+    at valid parameters, walking every row in code order.
+
+    The vertex map is read off the rows: v[i] goes where the image of e[i,1]
+    begins, and boundary vertices stay.  Each row must then walk from the
+    image of its edge's source to the image of its edge's target.
+    """
+    ends = groupoid._ends(d, n)
+    table = tuple(map(tuple, table))
+    if len(table) != len(ends):
+        raise ValueError("edge map must cover every edge")
+    for code in range(d + 1, len(ends) + 1, d):
+        if not table[code - 1] or not 0 < abs(table[code - 1][0]) <= len(ends):
+            raise EndpointMismatchError(f"image of edge code {code} must begin with an edge")
+    inner = [groupoid.interior(level) for level in range(1, n + 1)]
+    image_of = {v: v for v in groupoid.vertices(d, n)}
+    for v in inner:
+        first = table[v.level * d][0]
+        image_of[v] = ends[abs(first) - 1][0 if first > 0 else 1]
+    if sorted(map(image_of.get, inner)) != inner:
+        raise EndpointMismatchError("e[i,1] images must begin at distinct interior vertices")
+    for code, ((source, target), row) in enumerate(zip(ends, table), 1):
+        end = groupoid._walk(d, n, image_of[source], row)
+        if end != image_of[target]:
+            raise EndpointMismatchError(
+                f"image of edge code {code} ends at {end}, expected {image_of[target]}"
+            )

@@ -593,6 +593,74 @@ def test_derived_paths_and_functors_pass_the_public_constructors(dn, seed):
     _assert_valid_path(apply_functor(F, loop))
 
 
+def _corrupt(rng, table, donor):
+    """`table` with one row replaced (by random codes or by `donor`'s row),
+    extended, cut, swapped with another, given a backtrack or reversed, or
+    with the table itself extended or cut."""
+    rows = list(table)
+    size = len(rows)
+    k = rng.randrange(size)
+    row = rows[k]
+
+    def code():  # an edge code, now and then 0 or one past the last edge
+        return rng.choice((1, -1)) * rng.randint(0, size + 1)
+
+    kind = rng.randrange(8)
+    if kind == 0:
+        rows[k] = tuple(code() for _ in range(rng.randint(0, 3)))
+    elif kind == 1:
+        rows[k] = donor[k % len(donor)]
+    elif kind == 2:
+        rows[k] = row + (code(),)
+    elif kind == 3:
+        rows[k] = row[:rng.randint(0, max(len(row) - 1, 0))]
+    elif kind == 4:
+        j = rng.randrange(size)
+        rows[k], rows[j] = rows[j], row
+    elif kind == 5:
+        at, step = rng.randint(0, len(row)), code()
+        rows[k] = row[:at] + (step, -step) + row[at:]
+    elif kind == 6:
+        rows[k] = tuple(-c for c in reversed(row))
+    else:
+        rows = rows + [row] if rng.random() < 0.5 else rows[:-1]
+    return rows
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except ValueError as error:  # every refusal of a table is a ValueError
+        return type(error), str(error)
+    return None
+
+
+def test_functor_validation_refuses_what_a_walk_of_every_row_refuses():
+    # the constructor skips the identity rows between fixed vertices; a walk
+    # of every row (reference.walk_every_row) must accept the same tables and
+    # refuse the others with the same exception type and message
+    rng = random.Random(1801)
+    accepted = refused = 0
+    for d in range(1, 7):
+        for n in range(2, 8):
+            if d == 1:
+                valid = [identity_functor(1, n)]
+                for _ in range(4):
+                    twist = base_half_twist(n, rng.randint(1, n - 1))
+                    valid.append(compose_functors(valid[-1], twist))
+            else:
+                valid = _twist_product(rng, d, n, 4)
+            for _ in range(100):
+                table = rng.choice(valid).table
+                for _ in range(rng.randint(0, 2)):
+                    table = _corrupt(rng, table, rng.choice(valid).table)
+                outcome = _outcome(GroupoidFunctor, d, n, table)
+                assert outcome == _outcome(reference.walk_every_row, d, n, table), (d, n, table)
+                accepted += outcome is None
+                refused += outcome is not None
+    assert accepted > 500 and refused > 1500
+
+
 def test_lift_check_sees_a_wrong_sheet():
     # e[2,1] -> e[2,1]^-1 instead of e[2,2]^-1: endpoint-valid, and its
     # projection agrees with the true lift's on every edge
