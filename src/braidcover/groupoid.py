@@ -369,22 +369,28 @@ def lifted_half_twist_inverse(d: int, n: int, i: int) -> GroupoidFunctor:
                     lambda level: [(level - k - 1) % d + 1 for k in range(1, d + 1)])
 
 
-@lru_cache(maxsize=None)
 def dehn_twist(d: int, n: int, i: int, j: int) -> GroupoidFunctor:
     """Twist along the standard loop with indices (i, j), sheet mod d.
 
     Only the edge images are stored; the interior swap i <-> i+1 is read
     off them, as for every functor.  The twist at sheet d, the last one
-    `braid.dehn_twist_product` needs, is written out and validated; the
-    twist at any other sheet j is its conjugate by the j-th power of the
-    deck shift e[l,k] -> e[l,k+1] (the identity when d divides j), built
-    by `_relabel`.  So each (d, n, i) validates one table.
+    `braid.dehn_twist_product` needs, is written out, validated and cached
+    (`_written_dehn_twist`); the twist at any other sheet j is its
+    conjugate by the j-th power of the deck shift e[l,k] -> e[l,k+1] (the
+    identity when d divides j), built by `_relabel` on each call.  So each
+    (d, n, i) validates and keeps one table.
     """
     check_params(d, n)
     check_index(d, n, i, (n + 1) * d)
     if j != d:
         shifted = [*range(j % d + 1, d + 1), *range(1, j % d + 1)]
-        return _relabel(dehn_twist(d, n, i, d), i, lambda level: shifted)
+        return _relabel(_written_dehn_twist(d, n, i), i, lambda level: shifted)
+    return _written_dehn_twist(d, n, i)
+
+
+@lru_cache(maxsize=None)
+def _written_dehn_twist(d: int, n: int, i: int) -> GroupoidFunctor:
+    """The twist along (i, d), written out and validated."""
     images: dict[Edge, list[tuple[int, int, int]]] = {}
     for k in range(1, d + 1):
         near = 1 if k == d else d  # e[i,d] and e[i,1] swap; the other sheets pass e[i,d]
@@ -482,7 +488,9 @@ def format_vertex(v: Vertex) -> str:
 
 
 def format_path(p: EdgePath) -> str:
-    return _format_codes(p.steps, "e", p.d, 0) if p.steps else format_vertex(p.start)
+    if not p.steps:
+        return format_vertex(p.start)
+    return _format_codes(p.steps, "e", p.d, 0, (p.n + 1) * p.d)
 
 
 def parse_path(d: int, n: int, text: str) -> EdgePath:

@@ -60,7 +60,7 @@ def loop_to_word(p: EdgePath) -> Word:
     base = basepoint(d, n)
     if p.start != base or p.end != base:
         raise ValueError(f"loop must start and end at {base}, got {p.start} -> {p.end}")
-    return Word(d, n, _substitute(_edge_words(d, n), p.steps, {}))
+    return Word._trusted(d, n, _substitute(_edge_words(d, n), p.steps, {}))
 
 
 def functor_to_automorphism(F: GroupoidFunctor) -> FreeAutomorphism:

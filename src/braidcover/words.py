@@ -10,7 +10,10 @@ literal letter-by-letter comparison.
 A letter has one stored spelling, a signed integer code: x[i,j] has code
 (i-1)*(d-1) + j, its inverse the negated code.  Words are spelled from
 outside as (i, j, sign) triples (`reduce`) or as text (`parse_word`), and
-read back as codes or text (`format_word`).  An automorphism is stored only
+read back as codes or text (`format_word`).  Text has one token rule
+(`_Spelling`); a word longer than the rank is gathered in one C-level call
+from a cached list of every token (`_tokens`), indexed by code, which is
+safe because a word holds basis codes only.  An automorphism is stored only
 as its substitution table, the image codes of every basis generator;
 `apply`, `compose`, `abelianize` and `==` read that table, and the Word
 views (`images`, `image(i, j)`) are built on demand.  `compose(f, g)`
@@ -20,11 +23,12 @@ ones (`_compose_rows`).  Every substitution goes through one kernel,
 `_substitute`, with a memo its caller keeps for one table (one composite, or
 one `apply`): each negative code's inverted row, and the run cancelled where
 the images of a letter pair meet at a long seam, which for a fixed map
-depends on the pair alone.  The public constructor stores the rows as tuples
-and checks the parameters and that every row is a reduced word over the
-basis, so equal maps have equal tables; values derived from validated ones
-(composites, the identity, the three routes' tables) are built through the
-private `_trusted` constructor without a second check.
+depends on the pair alone.  The public constructors of words and
+automorphisms store codes as tuples and check the parameters and that every
+word or row is a reduced word over the basis, so equal maps have equal
+tables; values derived from validated ones (products, images, composites,
+the identity, the three routes' tables) are built through the private
+`_trusted` constructors without a second check.
 All values are immutable and every operation is pure.
 """
 
@@ -33,8 +37,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, count, islice, pairwise
-from operator import add, neg
+from itertools import chain, compress, count, pairwise
+from operator import add, itemgetter, neg
 from typing import Iterable
 
 from .errors import BudgetExceededError, ParameterMismatchError
@@ -97,13 +101,50 @@ def bounded_table(d: int, n: int, rows: Iterable[tuple[int, ...]]) -> tuple[tupl
     return tuple(table)
 
 
+def _trusted_init(cls, *fields):
+    """Build a word, automorphism, path or functor from its field values
+    without validation.
+
+    Only for values that are valid by construction because they are derived
+    from validated ones.
+    """
+    self = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, fields):
+        object.__setattr__(self, name, value)
+    return self
+
+
+def _check_row(d: int, n: int, row, code: int = 0) -> None:
+    """Refuse a row that is not a freely reduced word over the basis: the
+    image of the generator with code `code`, or a word if `code` is 0."""
+    size = rank(d, n)
+    for c in row:
+        if not 0 < abs(c) <= size:
+            raise ValueError(f"no basis generator has code {abs(c)} for d={d}, n={n}")
+    if any(a == -b for a, b in pairwise(row)):
+        raise ValueError(f"image of generator code {code} is not freely reduced" if code
+                         else "word is not freely reduced")
+
+
 @dataclass(frozen=True)
 class Word:
-    """Freely reduced word, stored as a tuple of signed basis codes."""
+    """Freely reduced word, stored as a tuple of signed basis codes.
+
+    The public constructor checks the parameters and the codes, so every
+    code of a word is a basis code or its negation, as `format_word` reads
+    it; words derived from valid ones are built through `_trusted`.
+    """
 
     d: int
     n: int
     codes: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "codes", tuple(self.codes))
+        check_params(self.d, self.n)
+        _check_row(self.d, self.n, self.codes)
+
+    _trusted = classmethod(_trusted_init)
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -139,12 +180,21 @@ def _cancelled_run(left, right, start: int) -> int:
     """Length of the run cancelled where `left` meets `right`, given that
     the first `start` letters cancel: the first i >= start with
     left[-1 - i] + right[i] != 0, or the shorter length if there is none.
-    One C-level scan, which costs a few iterator set-ups to start."""
-    return next(
-        compress(count(start), map(add, islice(reversed(left), start, None),
-                                   islice(right, start, None))),
-        min(len(left), len(right)),
-    )
+
+    C-level scans over slices of both rows from `start` on, each block
+    twice as long as the one before, so the letters known to cancel are
+    not stepped over, a long run costs few set-ups, and a list, tuple or
+    range row is read the same way."""
+    end, top = min(len(left), len(right)), len(left)
+    i, width = start, 32
+    while i < end:
+        j = min(i + width, end)
+        run = next(compress(count(i), map(add, reversed(left[top - j:top - i]), right[i:j])),
+                   None)
+        if run is not None:
+            return run
+        i, width = j, 2 * width
+    return end
 
 
 def _substitute(table, codes: Iterable[int], memo: dict) -> tuple[int, ...]:
@@ -268,35 +318,22 @@ def _encode(d: int, n: int, letters: Iterable[tuple[int, int, int]]) -> list[int
 def reduce(d: int, n: int, letters: Iterable[tuple[int, int, int]]) -> Word:
     """Freely reduced word spelled by (i, j, sign) triples; idempotent."""
     check_params(d, n)
-    return Word(d, n, _reduce_onto([], _encode(d, n, letters)))
+    return Word._trusted(d, n, _reduce_onto([], _encode(d, n, letters)))
 
 
 def multiply(a: Word, b: Word) -> Word:
     """Reduced concatenation; the empty word is the identity."""
     _same_params(a, b)
-    return Word(a.d, a.n, _reduce_onto(list(a.codes), b.codes))
+    return Word._trusted(a.d, a.n, _reduce_onto(list(a.codes), b.codes))
 
 
 def invert(w: Word) -> Word:
-    return Word(w.d, w.n, tuple(-c for c in reversed(w.codes)))
+    return Word._trusted(w.d, w.n, tuple(-c for c in reversed(w.codes)))
 
 
 def conjugate(x: Word, y: Word) -> Word:
     """The conjugate y^-1 * x * y, reduced."""
     return multiply(multiply(invert(y), x), y)
-
-
-def _trusted_init(cls, *fields):
-    """Build an automorphism, path or functor from its field values without
-    validation.
-
-    Only for values that are valid by construction because they are derived
-    from validated ones.
-    """
-    self = object.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, fields):
-        object.__setattr__(self, name, value)
-    return self
 
 
 @dataclass(frozen=True)
@@ -321,19 +358,13 @@ class FreeAutomorphism:
         if len(self.table) != size:
             raise ValueError(f"need {size} generator images, got {len(self.table)}")
         for code, row in enumerate(self.table, start=1):
-            for c in row:
-                if not 0 < abs(c) <= size:
-                    raise ValueError(
-                        f"no basis generator has code {abs(c)} for d={self.d}, n={self.n}"
-                    )
-            if any(a == -b for a, b in pairwise(row)):
-                raise ValueError(f"image of generator code {code} is not freely reduced")
+            _check_row(self.d, self.n, row, code)
 
     _trusted = classmethod(_trusted_init)
 
     def _view(self, row: tuple[int, ...]) -> Word:
         """A table row as a Word; `_view((c,))` is the generator with code c."""
-        return Word(self.d, self.n, row)
+        return Word._trusted(self.d, self.n, row)
 
     @property
     def images(self) -> tuple[Word, ...]:
@@ -357,7 +388,7 @@ def identity_automorphism(d: int, n: int) -> FreeAutomorphism:
 def apply(f: FreeAutomorphism, w: Word) -> Word:
     """Apply f letter by letter; homomorphic by construction."""
     _same_params(f, w)
-    return Word(f.d, f.n, _substitute(f.table, w.codes, {}))
+    return Word._trusted(f.d, f.n, _substitute(f.table, w.codes, {}))
 
 
 def compose(f: FreeAutomorphism, g: FreeAutomorphism) -> FreeAutomorphism:
@@ -414,8 +445,27 @@ class _Spelling(dict):
         return token
 
 
-def _format_codes(codes: tuple[int, ...], prefix: str, span: int, first: int) -> str:
-    """Spell signed codes as `_Spelling` tokens joined by `*`, in one pass."""
+@lru_cache(maxsize=1)
+def _tokens(prefix: str, span: int, first: int, size: int) -> list[str]:
+    """The `_Spelling` token of every code c in -size..size at index c: a
+    negative index counts from the end, so index -c holds c's inverse."""
+    spell = _Spelling(prefix, span, first)
+    return [spell[c] for c in chain(range(size + 1), range(-size, 0))]
+
+
+def _format_codes(codes: tuple[int, ...], prefix: str, span: int, first: int,
+                  size: int) -> str:
+    """Spell nonzero codes in -size..size as `_Spelling` tokens joined by `*`.
+
+    A sequence longer than `size` is gathered from the token table in one
+    C-level call; a shorter one spells only its own tokens, so the table,
+    2*size + 1 tokens, is never built for a text much shorter than itself.
+    Indexing the table with a code outside -size..size would read another
+    code's token, which is why words and paths check their codes when
+    they are built.
+    """
+    if len(codes) > size:
+        return "*".join(itemgetter(*codes)(_tokens(prefix, span, first, size)))
     return "*".join(map(_Spelling(prefix, span, first).__getitem__, codes))
 
 
@@ -446,7 +496,7 @@ def _parse_tokens(text: str, prefix: str) -> list[tuple[int, int, int]]:
 
 
 def format_word(w: Word) -> str:
-    return _format_codes(w.codes, "x", w.d - 1, 1) if w.codes else "1"
+    return _format_codes(w.codes, "x", w.d - 1, 1, rank(w.d, w.n)) if w.codes else "1"
 
 
 def parse_word(d: int, n: int, text: str) -> Word:

@@ -3,9 +3,11 @@
 `matrix_determinant` witnesses unimodularity of abelianized actions,
 `word_to_loop` is the x-loop route from words to basepoint loops, the
 inverse of `pi1.loop_to_word`, against which `pi1.functor_to_automorphism`
-is checked, and `walk_every_row` is the functor validation that walks every
-row, against which the `GroupoidFunctor` constructor is checked.  Nothing
-in the package calls them.
+is checked, `walk_every_row` is the functor validation that walks every
+row, against which the `GroupoidFunctor` constructor is checked, and
+`spell_word` and `spell_path` spell text one letter at a time from the
+generators and edges listed by index, against which `format_word` and
+`format_path` are checked.  Nothing in the package calls them.
 """
 
 from functools import lru_cache
@@ -93,3 +95,24 @@ def walk_every_row(d: int, n: int, table) -> None:
             raise EndpointMismatchError(
                 f"image of edge code {code} ends at {end}, expected {image_of[target]}"
             )
+
+
+def _spell(codes, names) -> str:
+    """Codes joined by `*`, code c > 0 as names[c] and -c as names[c]^-1."""
+    return "*".join(names[c] if c > 0 else names[-c] + "^-1" for c in codes)
+
+
+def spell_word(w: words.Word) -> str:
+    """The text of a word, letter by letter: x[i,j] has code (i-1)*(d-1) + j
+    for 1 <= i <= n-1 and 1 <= j <= d-1, and the empty word is `1`."""
+    d, n = w.d, w.n
+    names = {(i - 1) * (d - 1) + j: f"x[{i},{j}]" for i in range(1, n) for j in range(1, d)}
+    return _spell(w.codes, names) or "1"
+
+
+def spell_path(p: EdgePath) -> str:
+    """The text of a path, step by step: e[i,j] has code i*d + j for
+    0 <= i <= n and 1 <= j <= d, and the empty path is its start vertex."""
+    d, n = p.d, p.n
+    names = {i * d + j: f"e[{i},{j}]" for i in range(n + 1) for j in range(1, d + 1)}
+    return _spell(p.steps, names) or groupoid.format_vertex(p.start)

@@ -300,18 +300,21 @@ def test_two_sheet_cover_needs_a_single_twist(n):
 
 
 @pytest.mark.parametrize("d,n,entries", [(2, 4, 1), (5, 3, 4)])
-def test_a_twist_product_builds_no_twist_it_does_not_use(d, n, entries):
+def test_a_twist_product_builds_no_twist_it_does_not_use(monkeypatch, d, n, entries):
     # the twist at sheet d is written out, and the twists at sheets 2..d-1
-    # are its deck translates, so no sheet-1 twist is built on the way
-    caches = (groupoid.dehn_twist,)
-    for cached in caches:
-        cached.cache_clear()
+    # are its deck translates, so no sheet-1 twist is built on the way and
+    # only the written table is kept
+    sheets = []
+    twist = groupoid.dehn_twist
+    monkeypatch.setattr(groupoid, "dehn_twist",
+                        lambda d, n, i, j: sheets.append(j) or twist(d, n, i, j))
+    groupoid._written_dehn_twist.cache_clear()
     try:
         dehn_twist_product(d, n, 1)
-        assert groupoid.dehn_twist.cache_info().currsize == entries
+        assert sheets == list(range(d, 1, -1)) and len(sheets) == entries
+        assert groupoid._written_dehn_twist.cache_info().currsize == 1
     finally:
-        for cached in caches:
-            cached.cache_clear()
+        groupoid._written_dehn_twist.cache_clear()
 
 
 def test_twist_product_fixes_far_generators():
@@ -348,7 +351,11 @@ def test_relation_sides_and_the_twist_product_fold_from_the_right(monkeypatch):
     # first; a left fold would pass the composite of the earlier factors.
     factors = [f for i in range(1, 5)
                for f in (half_twist_action(4, 5, i), groupoid.lifted_half_twist(4, 5, i))]
-    factors += [groupoid.dehn_twist(5, 3, 1, j) for j in range(2, 6)]
+    # the twists at sheets 2..d-1 are built afresh on each call, so the
+    # twist product's factors are the twists it is handed
+    twist = groupoid.dehn_twist
+    monkeypatch.setattr(groupoid, "dehn_twist",
+                        lambda *args: factors.append(twist(*args)) or factors[-1])
     firsts = []
     for module, name in ((words, "compose"), (groupoid, "compose_functors")):
         def first_noted(f, g, compose=getattr(module, name)):

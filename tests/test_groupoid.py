@@ -194,7 +194,7 @@ def test_every_sheet_of_a_twist_validates_one_table(monkeypatch):
     post_init = GroupoidFunctor.__post_init__
     monkeypatch.setattr(GroupoidFunctor, "__post_init__",
                         lambda self: validated.append(self) or post_init(self))
-    dehn_twist.cache_clear()
+    groupoid._written_dehn_twist.cache_clear()
     twists = {j: dehn_twist(3, 3, 1, j) for j in (3, 0, 6, 1, 2)}
     assert len(validated) == 1
     assert twists[0] == twists[3] == twists[6]
@@ -794,6 +794,46 @@ def test_format_path_spells_two_digit_indices():
     assert format_path(q) == "e[11,12]"
     assert format_path(path_invert(q)) == "e[11,12]^-1"
     assert parse_path(12, 12, "e[11,12]") == q
+
+
+@pytest.mark.parametrize("d,n", [(2, 2), (3, 4), (11, 11)])
+def test_format_path_matches_the_step_by_step_reference(d, n):
+    # a path longer than the edge count (n+1)d is gathered from the token
+    # table, a shorter one spelled token by token: both sides of the split,
+    # at one- and two-digit indices, and long mixed-sign paths
+    size = (n + 1) * d
+    rng = random.Random(d * 1000 + n)
+    # a walk over the edges between interior vertices that never undoes
+    # its last step is reduced, and crosses edges both ways
+    at, steps = 1, []
+    while len(steps) < 3 * size + 2000:
+        moves = [(at, j, 1) for j in range(1, d + 1) if at < n]
+        moves += [(at - 1, j, -1) for j in range(1, d + 1) if at > 1]
+        level, j, sign = rng.choice([m for m in moves if not steps
+                                     or m != (*steps[-1][:2], -steps[-1][2])])
+        steps.append((level, j, sign))
+        at += sign
+    q = path(d, n, steps, start=interior(1))
+    assert len(q.steps) == len(steps)
+    for length in (0, 1, size - 1, size, size + 1, size + 2, 2 * size + 1, len(q.steps)):
+        prefix = EdgePath(d, n, q.start, q.steps[:length])
+        assert format_path(prefix) == reference.spell_path(prefix)
+        assert parse_path(d, n, format_path(prefix)) == prefix
+    assert {c > 0 for c in q.steps} == {True, False}
+
+
+def test_printing_a_wide_lift_builds_no_token_table():
+    # every row of the lift at d = 20000, n = 2 is at most two steps long
+    # against 60,000 edges, so no row pays for a table of 120,001 tokens
+    words._tokens.cache_clear()
+    try:
+        F = lifted_half_twist(20000, 2, 1)
+        for code, row in enumerate(F.table, start=1):
+            str(F._view((code,))), str(F._view(row))
+        assert words._tokens.cache_info().misses == 0
+    finally:
+        lifted_half_twist.cache_clear()
+        words._tokens.cache_clear()
 
 
 def test_projected_path_formats_over_the_base_edges():

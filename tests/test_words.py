@@ -29,6 +29,7 @@ from braidcover.words import (
 )
 
 import strategies
+import reference
 from reference import matrix_determinant
 
 
@@ -349,6 +350,27 @@ def test_substitute_keeps_each_long_seam_run_and_matches_the_reference(table, co
     assert words._substitute(table, codes, memo) == expected
 
 
+@pytest.mark.parametrize("kind", [list, tuple, range])
+def test_cancelled_run_matches_a_letter_by_letter_scan(kind):
+    # runs that end inside, at and just past each block of the scan, from
+    # starts inside the run, over every row type `_substitute` passes
+    rng = random.Random(7)
+    for run in (0, 1, 31, 32, 33, 95, 96, 97, 224, 225, 1000):
+        for extra in (0, 1, 50):
+            if kind is range:
+                a = rng.randint(1, 50)
+                left, right = range(-a - run - extra, -a), range(a + 1, a + 1 + run + extra)
+                left = range(left.start + 1, left.stop) if extra else left  # breaks the run
+            else:
+                common = [rng.choice((1, -1)) * rng.randint(1, 9) for _ in range(run)]
+                left = kind([5] * extra + [-c for c in reversed(common)])
+                right = kind(common + [5] * extra)
+            expected = next((i for i in range(min(len(left), len(right)))
+                             if left[-1 - i] + right[i] != 0), min(len(left), len(right)))
+            for start in {0, min(1, expected), expected // 2, expected}:
+                assert words._cancelled_run(left, right, start) == expected
+
+
 def test_compose_rows_scans_each_long_seam_pair_once(monkeypatch):
     # the pair (1, 2) meets at a long seam in three rows, after different
     # left contexts; its run of 150 letters stops inside image(1), so only
@@ -357,8 +379,8 @@ def test_compose_rows_scans_each_long_seam_pair_once(monkeypatch):
     table = (image, _inverse(image)[:150] + tuple(range(1001, 1051)))
     rows = ((1, 2), (2, 1, 2), (-2, 1, 2))
     scanned = []
-    monkeypatch.setattr(words, "compress",
-                        lambda *args: scanned.append(1) or itertools.compress(*args))
+    scan = words._cancelled_run
+    monkeypatch.setattr(words, "_cancelled_run", lambda *args: scanned.append(1) or scan(*args))
     expected = tuple(_substitute_letter_by_letter(table, row, words.LETTER_BUDGET) for row in rows)
     assert words._compose_rows(rows, table) == expected
     assert len(scanned) == 1
@@ -610,6 +632,71 @@ def test_format_word_spells_two_digit_indices():
     assert format_word(words.Word(12, 12, (-121,))) == "x[11,11]^-1"
     assert format_word(words.Word(12, 12, (-121, 1, 11, 1))) == "x[11,11]^-1*x[1,1]*x[1,11]*x[1,1]"
     assert parse_word(12, 12, "x[11,11]^-1") == words.Word(12, 12, (-121,))
+
+
+def _reduced_codes(rng, size, length):
+    codes = []
+    while len(codes) < length:
+        c = rng.choice((1, -1)) * rng.randint(1, size)
+        if not codes or codes[-1] != -c:
+            codes.append(c)
+    return codes
+
+
+@pytest.mark.parametrize("d,n", [(2, 2), (4, 3), (12, 12), (3, 40)])
+def test_format_word_matches_the_letter_by_letter_reference(d, n):
+    # a word longer than the rank is gathered from the token table, a
+    # shorter one spelled token by token: both sides of the split, at
+    # one- and two-digit indices, and long mixed-sign words
+    size = rank(d, n)
+    rng = random.Random(d * 1000 + n)
+    codes = _reduced_codes(rng, size, 4 * size + 3000)
+    for length in (0, 1, size - 1, size, size + 1, size + 2, 2 * size + 1, len(codes)):
+        u = Word(d, n, codes[:length])
+        assert format_word(u) == reference.spell_word(u)
+        assert parse_word(d, n, format_word(u)) == u
+
+
+def test_format_word_builds_the_token_table_only_past_the_rank():
+    # at d = 12, n = 12 the rank is 121: a word of 121 letters spells its
+    # own tokens, one of 122 builds the 243-token table once and reuses it
+    size = rank(12, 12)
+    codes = _reduced_codes(random.Random(12), size, size + 1)
+    words._tokens.cache_clear()
+    try:
+        format_word(Word(12, 12, codes[:size]))
+        assert words._tokens.cache_info().misses == 0
+        format_word(Word(12, 12, codes))
+        format_word(Word(12, 12, codes[::-1]))
+        info = words._tokens.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert len(words._tokens("x", 11, 1, size)) == 2 * size + 1
+    finally:
+        words._tokens.cache_clear()
+
+
+@pytest.mark.parametrize("length", [1, 5, 6, 7, 40])
+def test_a_word_never_holds_a_code_outside_the_basis(length):
+    # at d = 4, n = 3 the rank is 6; a word of 7 or more letters is spelled
+    # from the 13-token table, where code 7 would index the inverse of
+    # code 6 and code -7 the token of code 6, so no word holds such a code
+    size = rank(4, 3)
+    prefix = ([1, 2] * length)[:length - 1]
+    for bad in (0, size + 1, -(size + 1), 2 * size, -2 * size, 2 * size + 1, 10**6):
+        with pytest.raises(ValueError, match=f"no basis generator has code {abs(bad)} "
+                                             f"for d=4, n=3"):
+            Word(4, 3, prefix + [bad])
+    u = Word(4, 3, prefix + [size])
+    assert len(u) == length and format_word(u) == reference.spell_word(u)
+
+
+def test_the_word_constructor_checks_the_parameters_and_reduction():
+    with pytest.raises(ValueError, match="parameter d must be >= 2"):
+        Word(1, 3, ())
+    with pytest.raises(ValueError, match="^word is not freely reduced$"):
+        Word(3, 3, (1, 2, -2))
+    assert Word(3, 3, [1, 2]).codes == (1, 2)
+    assert Word(3, 3, [1, 2]) == w(3, 3, "x[1,1]*x[1,2]")
 
 
 def test_check_index_is_shared_by_both_levels():
