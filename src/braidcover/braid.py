@@ -95,15 +95,13 @@ def half_twist_action(d: int, n: int, i: int) -> FreeAutomorphism:
             )
         if row == i:
             return [(i, t, 1) for t in range(2, j + 1)] + [(i, t, -1) for t in range(j + 1, 1, -1)]
-        if row == i + 1:
-            return (
-                [(i, t, -1) for t in range(j - 1, 0, -1)]
-                + [(i + 1, j, 1)]
-                + [(i, t, 1) for t in range(1, j + 1)]
-            )
-        return [(row, j, 1)]
+        return (  # row i + 1
+            [(i, t, -1) for t in range(j - 1, 0, -1)]
+            + [(i + 1, j, 1)]
+            + [(i, t, 1) for t in range(1, j + 1)]
+        )
 
-    return _automorphism_from_images(d, n, image)
+    return _automorphism_from_images(d, n, i, image)
 
 
 def conjugate_twist_action(d: int, n: int, i: int) -> FreeAutomorphism:
@@ -125,21 +123,23 @@ def conjugate_twist_action(d: int, n: int, i: int) -> FreeAutomorphism:
             return y_inv(i - 1, j) + [(i, j + 1, 1)] + y(i - 1, j + 1)
         if row == i:
             return [(i, 1, -1)] + y(i, j + 1) + y_inv(i, j + 2) + [(i, 1, 1)]
-        if row == i + 1:
-            return y_inv(i, j) + [(i + 1, j, 1)] + y(i, j + 1)
-        return [(row, j, 1)]
+        return y_inv(i, j) + [(i + 1, j, 1)] + y(i, j + 1)  # row i + 1
 
-    return _automorphism_from_images(d, n, image)
+    return _automorphism_from_images(d, n, i, image)
 
 
-def _automorphism_from_images(d, n, image) -> FreeAutomorphism:
-    """Automorphism mapping x[row,j] to the letter triples `image(row, j)`.
+def _automorphism_from_images(d, n, i, image) -> FreeAutomorphism:
+    """Automorphism of generator i: x[row,j] goes to the letter triples
+    `image(row, j)` in the rows i-1..i+1 it moves, and every other row is
+    fixed without calling `image`.
 
     Rows near row i grow like j and the table like d^2, so the rows are
     built lazily and a table past the letter budget is refused after
     O(budget) work."""
+    near = range(i - 1, i + 2)
     rows = (
-        words._reduce_onto([], words._encode(d, n, image(row, j)))
+        words._reduce_onto([], words._encode(d, n, image(row, j))) if row in near
+        else ((row - 1) * (d - 1) + j,)
         for row in range(1, n)
         for j in range(1, d)
     )
@@ -262,12 +262,15 @@ def _compare(name: str, f, g) -> CheckResult:
 
     Row c - 1 holds the image of code c.  Only when the check fails are the
     rows there viewed as words or paths (`_view`) and spelled; the row is
-    named by the one-code row (c,), which spells generator or edge c.
+    named by the one-code row (c,), which spells generator or edge c.  Equal
+    tables are told apart from the rest by one C-level comparison, which
+    passes over the rows the two maps share without reading them.
     """
-    for code, (a, b) in enumerate(zip(f.table, g.table), start=1):
-        if a != b:
-            label, first, second = map(str, map(f._view, ((code,), a, b)))
-            return CheckResult(name, False, f"{label}: {first} != {second}")
+    if f.table != g.table:
+        for code, (a, b) in enumerate(zip(f.table, g.table), start=1):
+            if a != b:
+                label, first, second = map(str, map(f._view, ((code,), a, b)))
+                return CheckResult(name, False, f"{label}: {first} != {second}")
     return CheckResult(name, True)
 
 

@@ -43,9 +43,9 @@ from functools import lru_cache, partial
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import EndpointMismatchError
-from .words import _compose_rows, _format_codes, _parse_int, _parse_tokens, _reduce_onto
-from .words import _same_params, _substitute, _trusted_init, check_index, check_params
-from .words import check_table_size
+from .words import _compose_rows, _format_codes, _keep_moved, _moved, _parse_int
+from .words import _parse_tokens, _reduce_onto, _same_params, _substitute, _trusted_init
+from .words import check_index, check_params, check_table_size
 
 
 class Vertex(NamedTuple):
@@ -304,7 +304,7 @@ def apply_functor(F: GroupoidFunctor, p: EdgePath) -> EdgePath:
 def compose_functors(F: GroupoidFunctor, G: GroupoidFunctor) -> GroupoidFunctor:
     """Composite that applies F first, then G."""
     _same_params(F, G)
-    return GroupoidFunctor._trusted(F.d, F.n, _compose_rows(F.table, G.table))
+    return _compose_rows(F, G)
 
 
 @lru_cache(maxsize=None)
@@ -330,16 +330,19 @@ def _functor(d: int, n: int, images: dict[Edge, list[tuple[int, int, int]]]) -> 
 
 def _relabel(F: GroupoidFunctor, i: int, sheets: Callable[[int], list[int]]) -> GroupoidFunctor:
     """F conjugated by s: e[l,k] -> e[l, sheets(l)[k-1]], a graph automorphism
-    that keeps every level, so row s(c) is s of row c.  F must move only the
-    3d rows at levels i-1..i+1, which name only edges there; only they are
-    rewritten, and the result is valid by construction."""
+    that keeps every level, so row s(c) is s of row c.  F must move all of
+    the 3d rows at levels i-1..i+1 and no other, and they must name only
+    edges there; only they are rewritten, the result is valid by
+    construction, and it moves the rows F moves, so it shares `_moved(F)`."""
     d, table = F.d, F.table
     band = range((i - 1) * d + 1, (i + 2) * d + 1)
     s = dict(zip(band, [level * d + k for level in range(i - 1, i + 2) for k in sheets(level)]))
     s.update([(-c, -t) for c, t in s.items()])
     rows = {s[c]: tuple(map(s.__getitem__, table[c - 1])) for c in band}
     band_rows = tuple(map(rows.__getitem__, band))
-    return GroupoidFunctor._trusted(d, F.n, table[:band[0] - 1] + band_rows + table[band[-1]:])
+    return _keep_moved(
+        GroupoidFunctor._trusted(d, F.n, table[:band[0] - 1] + band_rows + table[band[-1]:]),
+        _moved(F))
 
 
 @lru_cache(maxsize=None)

@@ -19,7 +19,11 @@ as its substitution table, the image codes of every basis generator;
 views (`images`, `image(i, j)`) are built on demand.  `compose(f, g)`
 applies f first; `braid` folds every longer product from the right, so that
 each factor pushes only the rows it moves through the product of the later
-ones (`_compose_rows`).  Every substitution goes through one kernel,
+ones (`_compose_rows`, shared with functors): the composite starts as g's
+rows, and a row of f that names no row g moves is kept whole.  The rows a
+map moves (`_moved`) are scanned once and kept on the map, outside its
+fields; a composite takes the union of its factors' sets, a superset,
+which keeps the shortcut exact.  Every substitution goes through one kernel,
 `_substitute`, with a memo its caller keeps for one table (one composite, or
 one `apply`): each negative code's inverted row, and the run cancelled where
 the images of a letter pair meet at a long seam, which for a fixed map
@@ -38,7 +42,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, compress, count, pairwise
-from operator import add, itemgetter, neg
+from operator import add, itemgetter, ne, neg
 from typing import Iterable
 
 from .errors import BudgetExceededError, ParameterMismatchError
@@ -273,22 +277,67 @@ def _substitute(table, codes: Iterable[int], memo: dict) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _compose_rows(rows, table) -> tuple[tuple[int, ...], ...]:
-    """Rows of a composite: each row pushed through the substitution `table`.
+def _moved(m) -> frozenset[int]:
+    """Signed codes of the rows of the map `m` (an automorphism or a functor)
+    that may differ from the identity's row (c,): c and -c for at least
+    every row c that `m` moves, so a letter of either sign is looked up as
+    it stands.
 
-    A row that is a single positive code c reuses `table[c - 1]` itself, so
-    the rows a map leaves fixed are shared with `table`, not rebuilt.  The
-    rows of `table` therefore become rows of the result: it must hold
-    tuples, as every automorphism and functor table does (unlike the range
-    rows of `pi1._edge_words`).  All rows share one `_substitute` memo, so
-    each inverted row is built, and each long seam's letter pair scanned,
-    once per call.
+    Scanned once against the identity rows by one C-level pass and kept on
+    `m`, outside its fields (`_keep_moved`).  A composite keeps its
+    factors' sets instead, joined on first use, and a table that
+    `groupoid._relabel` derives shares the set of the table it relabels:
+    neither is scanned."""
+    moves = getattr(m, "_moves", None)
+    if moves is None:
+        codes = tuple(compress(count(1), map(ne, m.table, zip(count(1)))))
+        moves = frozenset(chain(codes, map(neg, codes)))
+    elif type(moves) is tuple:
+        first, later = moves
+        moves = first if first is later else first | later
+    else:
+        return moves
+    _keep_moved(m, moves)
+    return moves
+
+
+def _keep_moved(m, moves):
+    """`m`, keeping `moves` as what `_moved(m)` reads: a set of signed codes
+    that covers every row `m` moves, or a composite's pair of such sets."""
+    object.__setattr__(m, "_moves", moves)
+    return m
+
+
+def _compose_rows(f, g):
+    """Composite of two maps of one type (automorphisms or functors) that
+    applies f first, then g: each row of f pushed through g's table.
+
+    The rows of both maps must be reduced, as every map's are.  The
+    composite starts as g's rows, since a row f fixes goes to g's row, and
+    only the rows f moves are visited (`_moved`).  A visited row that is
+    one positive code a takes g's row a - 1 itself; one with no letter
+    among the rows g moves is its own image and is kept whole; every other
+    row goes through `_substitute`, all of them with one memo, so each
+    inverted row is built, and each long seam's letter pair scanned, once
+    per composite.  The composite shares these rows of f and g, so both
+    tables hold tuples, as every automorphism and functor table does
+    (unlike the range rows of `pi1._edge_words`).  Its moved rows are
+    covered by those of f and g, without a scan.
     """
-    memo: dict = {}
-    return tuple(
-        table[row[0] - 1] if len(row) == 1 and row[0] > 0 else _substitute(table, row, memo)
-        for row in rows
-    )
+    rows, table = f.table, g.table
+    moved, moves = _moved(f), _moved(g)
+    out, memo, disjoint = list(table), {}, moves.isdisjoint
+    for c in moved:
+        if c < 0:  # each moved row is in the set under both signs
+            continue
+        row = rows[c - 1]
+        if len(row) == 1 and row[0] > 0:
+            out[c - 1] = table[row[0] - 1]
+        elif disjoint(row):
+            out[c - 1] = row
+        else:
+            out[c - 1] = _substitute(table, row, memo)
+    return _keep_moved(type(f)._trusted(f.d, f.n, tuple(out)), (moved, moves))
 
 
 def _expand_symbol(d: int, n: int, i: int, j: int, sign: int) -> list[int]:
@@ -394,7 +443,7 @@ def apply(f: FreeAutomorphism, w: Word) -> Word:
 def compose(f: FreeAutomorphism, g: FreeAutomorphism) -> FreeAutomorphism:
     """Composite that applies f first, then g."""
     _same_params(f, g)
-    return FreeAutomorphism._trusted(f.d, f.n, _compose_rows(f.table, g.table))
+    return _compose_rows(f, g)
 
 
 def abelianize(f: FreeAutomorphism) -> tuple[tuple[int, ...], ...]:

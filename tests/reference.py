@@ -4,8 +4,10 @@
 `word_to_loop` is the x-loop route from words to basepoint loops, the
 inverse of `pi1.loop_to_word`, against which `pi1.functor_to_automorphism`
 is checked, `walk_every_row` is the functor validation that walks every
-row, against which the `GroupoidFunctor` constructor is checked, and
-`spell_word` and `spell_path` spell text one letter at a time from the
+row, against which the `GroupoidFunctor` constructor is checked,
+`compose_every_row` is the composition that pushes every row of the first
+map through the second, against which `words._compose_rows` is checked,
+and `spell_word` and `spell_path` spell text one letter at a time from the
 generators and edges listed by index, against which `format_word` and
 `format_path` are checked.  Nothing in the package calls them.
 """
@@ -95,6 +97,18 @@ def walk_every_row(d: int, n: int, table) -> None:
             raise EndpointMismatchError(
                 f"image of edge code {code} ends at {end}, expected {image_of[target]}"
             )
+
+
+def compose_every_row(rows, table) -> tuple[tuple[int, ...], ...]:
+    """Rows of a composite, each row pushed through the substitution `table`
+    with one `words._substitute` memo, except that a row which is a single
+    positive code c takes `table[c - 1]` itself: every row is visited,
+    whichever rows the two maps move."""
+    memo: dict = {}
+    return tuple(
+        table[row[0] - 1] if len(row) == 1 and row[0] > 0 else words._substitute(table, row, memo)
+        for row in rows
+    )
 
 
 def _spell(codes, names) -> str:

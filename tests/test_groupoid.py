@@ -202,6 +202,19 @@ def test_every_sheet_of_a_twist_validates_one_table(monkeypatch):
     assert len(validated) == 1
 
 
+@pytest.mark.parametrize("d,n", [(2, 2), (3, 4), (5, 3), (4, 6)])
+def test_relabelled_twists_share_the_moved_rows_of_the_table_they_relabel(d, n):
+    # `_relabel` hands its result the moved set of the table it relabels,
+    # which must move every row of the band at levels i-1..i+1 and no other
+    for i in range(1, n):
+        band = set(range((i - 1) * d + 1, (i + 2) * d + 1))
+        for written, derived in ((lifted_half_twist(d, n, i), lifted_half_twist_inverse(d, n, i)),
+                                 (groupoid._written_dehn_twist(d, n, i), dehn_twist(d, n, i, 1))):
+            assert {c for c, row in enumerate(written.table, 1) if row != (c,)} == band
+            assert words._moved(derived) is words._moved(written)
+            assert words._moved(written) == band | {-c for c in band}
+
+
 def _hand_written_dehn_twist(d, n, i, j):
     """The twist along (i, j) written out for every sheet, through the
     validating constructor: the reference for the deck-shifted twists."""

@@ -259,26 +259,46 @@ def composites(draw):
     return table, [codes, *rows]
 
 
+def _square_maps(table, rows):
+    """(f, g): the maps whose rows are `rows` and `table`, as automorphisms
+    at d = 2 (rank n - 1), each padded with identity rows to one square
+    size that covers every code, with every row of f reduced."""
+    rows = [words._reduce_onto([], row) for row in rows]
+    size = max(len(table), len(rows), *(abs(c) for row in table for c in row))
+
+    def padded(given):
+        return tuple(given) + tuple((c,) for c in range(len(given) + 1, size + 1))
+
+    return FreeAutomorphism(2, size + 1, padded(rows)), FreeAutomorphism(2, size + 1, padded(table))
+
+
 @settings(max_examples=300)
 @given(composites())
 def test_compose_rows_matches_the_reference_when_inverted_rows_repeat(case):
-    table, rows = case
-    expected = tuple(_substitute_letter_by_letter(table, row, words.LETTER_BUDGET) for row in rows)
-    assert tuple(map(tuple, words._compose_rows(rows, table))) == expected
+    # square tables of reduced rows: g's range rows become tuples, f's rows
+    # are reduced, which keeps their images, and both are padded with
+    # identity rows
+    f, g = _square_maps(*case)
+    expected = tuple(_substitute_letter_by_letter(g.table, row, words.LETTER_BUDGET)
+                     for row in f.table)
+    assert words._compose_rows(f, g).table == expected
 
 
 def test_compose_rows_inverts_each_row_once(monkeypatch):
     # code -1 appears five times in the composite; its three-letter image is
-    # negated once, and a second composite starts afresh
-    table = ((1, 2, 3), (4, 7), (5, 6))
-    rows = ((-1,), (2, -1), (-1, 3, -1), (-2, -1, -3))
+    # negated once, and a second composite starts afresh; codes 4 to 7 pad
+    # both tables square, and both maps' moved rows are read before `neg`
+    # is counted, so only inverted rows count
+    f = FreeAutomorphism(2, 8, ((-1,), (2, -1), (-1, 3, -1), (-2, -1, -3), (5,), (6,), (7,)))
+    g = FreeAutomorphism(2, 8, ((1, 2, 3), (4, 7), (5, 6), (4,), (5,), (6,), (7,)))
+    words._moved(f), words._moved(g)
     negated = []
     monkeypatch.setattr(words, "neg", lambda c: negated.append(c) or -c)
     expected = ((-3, -2, -1), (4, 7, -3, -2, -1), (-3, -2, -1, 5, 6, -3, -2, -1),
-                (-7, -4, -3, -2, -1, -6, -5))
-    assert words._compose_rows(rows, table) == expected
+                (-7, -4, -3, -2, -1, -6, -5), (5,), (6,), (7,))
+    assert words._compose_rows(f, g).table == expected
     assert sorted(negated) == [1, 2, 3, 4, 5, 6, 7]
-    assert words._compose_rows(rows, table) == expected
+    assert words._compose_rows(f, g).table == expected
     assert len(negated) == 14
 
 
@@ -374,17 +394,19 @@ def test_cancelled_run_matches_a_letter_by_letter_scan(kind):
 def test_compose_rows_scans_each_long_seam_pair_once(monkeypatch):
     # the pair (1, 2) meets at a long seam in three rows, after different
     # left contexts; its run of 150 letters stops inside image(1), so only
-    # the first meeting scans, and a second composite starts afresh
+    # the first meeting scans, and a second composite starts afresh; both
+    # tables are padded square with identity rows up to code 1050
     image = tuple(range(1, 201))
-    table = (image, _inverse(image)[:150] + tuple(range(1001, 1051)))
-    rows = ((1, 2), (2, 1, 2), (-2, 1, 2))
+    f, g = _square_maps((image, _inverse(image)[:150] + tuple(range(1001, 1051))),
+                        ((1, 2), (2, 1, 2), (-2, 1, 2)))
     scanned = []
     scan = words._cancelled_run
     monkeypatch.setattr(words, "_cancelled_run", lambda *args: scanned.append(1) or scan(*args))
-    expected = tuple(_substitute_letter_by_letter(table, row, words.LETTER_BUDGET) for row in rows)
-    assert words._compose_rows(rows, table) == expected
+    expected = tuple(_substitute_letter_by_letter(g.table, row, words.LETTER_BUDGET)
+                     for row in f.table)
+    assert words._compose_rows(f, g).table == expected
     assert len(scanned) == 1
-    assert words._compose_rows(rows, table) == expected
+    assert words._compose_rows(f, g).table == expected
     assert len(scanned) == 2
 
 
