@@ -333,7 +333,9 @@ def _relabel(F: GroupoidFunctor, i: int, sheets: Callable[[int], list[int]]) -> 
     that keeps every level, so row s(c) is s of row c.  F must move all of
     the 3d rows at levels i-1..i+1 and no other, and they must name only
     edges there; only they are rewritten, the result is valid by
-    construction, and it moves the rows F moves, so it shares `_moved(F)`."""
+    construction, and it moves the rows F moves, so it shares `_moved(F)`,
+    resolved on its own first use: a table that is only translated, never
+    composed, costs no scan of F."""
     d, table = F.d, F.table
     band = range((i - 1) * d + 1, (i + 2) * d + 1)
     s = dict(zip(band, [level * d + k for level in range(i - 1, i + 2) for k in sheets(level)]))
@@ -341,8 +343,7 @@ def _relabel(F: GroupoidFunctor, i: int, sheets: Callable[[int], list[int]]) -> 
     rows = {s[c]: tuple(map(s.__getitem__, table[c - 1])) for c in band}
     band_rows = tuple(map(rows.__getitem__, band))
     return _keep_moved(
-        GroupoidFunctor._trusted(d, F.n, table[:band[0] - 1] + band_rows + table[band[-1]:]),
-        _moved(F))
+        GroupoidFunctor._trusted(d, F.n, table[:band[0] - 1] + band_rows + table[band[-1]:]), F)
 
 
 @lru_cache(maxsize=None)

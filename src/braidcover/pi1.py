@@ -18,8 +18,13 @@ on the surface group by
 
 where W(e) is the word of F's image of the edge e and
 P_i = W(e[0,1])*...*W(e[i-1,1]) is the word of F(p_i); both are letter
-substitutions through `words._substitute`.  `loop_to_word` reads a
-basepoint loop as a word by the same retraction.
+substitutions through `words._substitute`.  At a level i where P_i = 1 and
+F fixes all d edges, the formula gives W(e[i,j]) * W(e[i,j+1])^-1 =
+x[i,j]: the level's rows are the identity's, and P_(i+1) = 1 again.  Every
+functor the system builds -- a lift, an inverse lift, a Dehn twist or a
+product of them -- moves only the edges over the disk that holds its
+branch points, so only those few levels go through the formula.
+`loop_to_word` reads a basepoint loop as a word by the same retraction.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from functools import lru_cache
 from itertools import chain
 
 from . import words
-from .groupoid import EdgePath, GroupoidFunctor, Vertex, left_boundary
+from .groupoid import EdgePath, GroupoidFunctor, Vertex, identity_functor, left_boundary
 from .words import FreeAutomorphism, Word, _reduce_onto, _substitute
 
 
@@ -68,12 +73,17 @@ def functor_to_automorphism(F: GroupoidFunctor) -> FreeAutomorphism:
 
     Every functor fixes the boundary, so it fixes the basepoint; the action
     is read straight off F's edge table by the path formula in the module
-    docstring.  Each row is built from the words of the few edges it needs,
-    and the rows are built lazily, so like the closed form a table past the
-    letter budget is refused after O(budget) work.
+    docstring.  The levels are walked in order, carrying P_i.  A level
+    where P_i is empty and F's d rows are the identity functor's, found by
+    one slice comparison, takes its d-1 rows from the identity
+    automorphism's table, the same row objects; every other row is built
+    from the words of the few edges it needs.  The rows are built lazily,
+    so like the closed form a table past the letter budget is refused
+    after O(budget) work.
     """
     d, n = F.d, F.n
     table, edge_words, memo = F.table, _edge_words(d, n), {}
+    fixed = identity_functor(d, n).table
 
     def word(code: int) -> tuple[int, ...]:
         return _substitute(edge_words, table[code - 1], memo)
@@ -82,6 +92,12 @@ def functor_to_automorphism(F: GroupoidFunctor) -> FreeAutomorphism:
         prefix, first = (), word(1)  # first = W(e[i-1,1]), the last factor of P_i
         for i in range(1, n):
             prefix = _reduce_onto(list(prefix), first)
+            if not prefix and table[i * d:i * d + d] == fixed[i * d:i * d + d]:
+                # P_i = 1 and F fixes the level: x[i,j] -> x[i,j], and the
+                # tree edge e[i,1] retracts to 1
+                first = ()
+                yield from words.identity_automorphism(d, n).table[(i - 1) * (d - 1):i * (d - 1)]
+                continue
             back = [-c for c in reversed(prefix)]
             here = first = word(i * d + 1)
             for j in range(2, d + 1):

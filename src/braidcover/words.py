@@ -286,24 +286,28 @@ def _moved(m) -> frozenset[int]:
     Scanned once against the identity rows by one C-level pass and kept on
     `m`, outside its fields (`_keep_moved`).  A composite keeps its
     factors' sets instead, joined on first use, and a table that
-    `groupoid._relabel` derives shares the set of the table it relabels:
-    neither is scanned."""
+    `groupoid._relabel` derives keeps the table it relabels, whose set it
+    takes on first use: neither is scanned, and a derived table that is
+    never composed never reads a set."""
     moves = getattr(m, "_moves", None)
+    if type(moves) is frozenset:
+        return moves
     if moves is None:
         codes = tuple(compress(count(1), map(ne, m.table, zip(count(1)))))
         moves = frozenset(chain(codes, map(neg, codes)))
     elif type(moves) is tuple:
         first, later = moves
         moves = first if first is later else first | later
-    else:
-        return moves
+    else:  # a map that moves the same rows
+        moves = _moved(moves)
     _keep_moved(m, moves)
     return moves
 
 
 def _keep_moved(m, moves):
     """`m`, keeping `moves` as what `_moved(m)` reads: a set of signed codes
-    that covers every row `m` moves, or a composite's pair of such sets."""
+    that covers every row `m` moves, a composite's pair of such sets, or
+    another map that moves the same rows, whose set `m` shares."""
     object.__setattr__(m, "_moves", moves)
     return m
 

@@ -3,13 +3,16 @@
 `matrix_determinant` witnesses unimodularity of abelianized actions,
 `word_to_loop` is the x-loop route from words to basepoint loops, the
 inverse of `pi1.loop_to_word`, against which `pi1.functor_to_automorphism`
-is checked, `walk_every_row` is the functor validation that walks every
-row, against which the `GroupoidFunctor` constructor is checked,
-`compose_every_row` is the composition that pushes every row of the first
-map through the second, against which `words._compose_rows` is checked,
-and `spell_word` and `spell_path` spell text one letter at a time from the
-generators and edges listed by index, against which `format_word` and
-`format_path` are checked.  Nothing in the package calls them.
+is checked (each x-loop pushed through the functor by `apply_functor` and
+read back by `loop_to_word`, with no level skipped, so the levels the
+translation takes from the identity are checked too), `walk_every_row` is
+the functor validation that walks every row, against which the
+`GroupoidFunctor` constructor is checked, `compose_every_row` is the
+composition that pushes every row of the first map through the second,
+against which `words._compose_rows` is checked, and `spell_word` and
+`spell_path` spell text one letter at a time from the generators and
+edges listed by index, against which `format_word` and `format_path` are
+checked.  Nothing in the package calls them.
 """
 
 from functools import lru_cache

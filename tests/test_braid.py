@@ -348,6 +348,18 @@ def test_inverse_generator_comes_from_the_inverse_lift():
     assert got == via_functor
 
 
+@pytest.mark.parametrize("d,n", [(d, n) for d in range(2, 7) for n in range(2, 8)] + [(20, 20)])
+def test_inverse_generators_cancel_the_generators(d, n):
+    # no suite builds an inverse generator, so this pins the table behind
+    # every negative letter: the inverse lift's translation cancels the
+    # closed form in both orders (the functors themselves cancel in
+    # test_groupoid.py::test_inverse_lift_cancels_the_lift, on the same grid)
+    identity = identity_automorphism(d, n)
+    for i in range(1, n):
+        f, g = half_twist_action(d, n, i), generator_action(d, n, -i)
+        assert compose(f, g) == identity and compose(g, f) == identity, i
+
+
 @settings(max_examples=40)
 @given(strategies.braid_letters_with_params(max_size=8))
 def test_functor_route_evaluation_matches_the_closed_form(data):

@@ -1,5 +1,6 @@
 """Exit-status contract and byte-deterministic output of the command line."""
 
+import argparse
 import functools
 import hashlib
 import shlex
@@ -371,9 +372,11 @@ def test_stdout_matches_the_golden_digest(capsys, argv, text_sha1, structured_sh
 
 
 # sha1 of repr((exit status, stdout, stderr)) of the help texts and of the
-# usage errors argparse refuses, at 80 columns (the same bytes with the
-# argparse of Python 3.10, 3.11, 3.12.1 and 3.13.0); a change to how the
-# subcommands are declared must not change one printed byte
+# usage errors argparse refuses, at 80 columns; a change to how the
+# subcommands are declared must not change one printed byte.  A usage error
+# that lists argparse's choices pins one digest per wording of its "invalid
+# choice" message: each choice quoted ('a', 'b', as the argparse of Python
+# 3.10, 3.11, 3.12.1 and 3.13.0 prints it) or not (a, b, as 3.13.13 does).
 GOLDEN_USAGE = [
     ("help", ("--help",), "dd4efdf017803731481f401c43a25a7789ef6c71"),
     ("surface-help", ("surface", "--help"), "d07c8f48f5d4eb9ae4ea1502f373a9d421e4aeb3"),
@@ -388,20 +391,68 @@ GOLDEN_USAGE = [
     ("missing-option", ("surface", "--d", "4"), "47f66c15612048939f56dcea2fb892cbdac83764"),
     ("bad-int", ("surface", "--d", "abc", "--n", "3"), "1cf3e3608b7ec211621b4a39bcbb2ad320b7c0bc"),
     ("bad-suite", ("verify", "--d", "3", "--n", "3", "--suite", "bogus"),
-     "509462aa64cc409575c444a14504f2e9d2b6be07"),
+     ("509462aa64cc409575c444a14504f2e9d2b6be07", "60dec9fde0ed502361a838f943cadb0aa5292edd")),
     ("bad-output-mode", ("surface", "--d", "4", "--n", "3", "--output-mode", "json"),
-     "55ad1fcd3ac34459eb5a7f5fb6a1f333a477eec8"),
-    ("unknown-command", ("spectacle",), "3b6818db110d1f5754869dcb3be32c42f0ce1ab3"),
+     ("55ad1fcd3ac34459eb5a7f5fb6a1f333a477eec8", "6fb87ea9734ea9aaf42f55231cca40f262abc0cd")),
+    ("unknown-command", ("spectacle",),
+     ("3b6818db110d1f5754869dcb3be32c42f0ce1ab3", "6e586039f8d4d26a71cedb4b8b69fb7722a5576b")),
 ]
 
 
-@pytest.mark.parametrize("argv,sha1", [case[1:] for case in GOLDEN_USAGE],
-                         ids=[case[0] for case in GOLDEN_USAGE])
-def test_help_and_usage_errors_match_the_golden_digest(capsys, monkeypatch, argv, sha1):
+def _quotes_choices() -> bool:
+    """Whether this argparse quotes each choice in its "invalid choice"
+    message, probed on a throwaway parser rather than read off the version."""
+    class Probe(argparse.ArgumentParser):
+        def error(self, message):
+            raise ValueError(message)
+
+    parser = Probe()
+    parser.add_argument("x", choices=["a"])
+    with pytest.raises(ValueError) as exc:
+        parser.parse_args(["b"])
+    return "(choose from 'a')" in str(exc.value)
+
+
+def _golden_usage_sha1(sha1) -> str:
+    """The pinned digest; a (quoted, unquoted) pair is read by this argparse."""
+    return sha1 if isinstance(sha1, str) else sha1[0 if _quotes_choices() else 1]
+
+
+def _usage_sha1(capsys, monkeypatch, argv) -> tuple[str, tuple]:
+    """sha1 of repr((exit status, stdout, stderr)) of one run at 80 columns,
+    and that triple."""
     monkeypatch.setenv("COLUMNS", "80")
     try:
         code = cli.main(list(argv))
     except SystemExit as exc:
         code = exc.code
     out, err = capsys.readouterr()
-    assert hashlib.sha1(repr((code, out, err)).encode()).hexdigest() == sha1, (code, out, err)
+    return hashlib.sha1(repr((code, out, err)).encode()).hexdigest(), (code, out, err)
+
+
+@pytest.mark.parametrize("argv,sha1", [case[1:] for case in GOLDEN_USAGE],
+                         ids=[case[0] for case in GOLDEN_USAGE])
+def test_help_and_usage_errors_match_the_golden_digest(capsys, monkeypatch, argv, sha1):
+    got, printed = _usage_sha1(capsys, monkeypatch, argv)
+    assert got == _golden_usage_sha1(sha1), printed
+
+
+def _unquoted_check_value(self, action, value):
+    """argparse's choice check as Python 3.13.13 words it: the value quoted,
+    the choices not."""
+    if action.choices is not None and value not in action.choices:
+        choices = ", ".join(map(str, action.choices))
+        raise argparse.ArgumentError(
+            action, f"invalid choice: {str(value)!r} (choose from {choices})")
+
+
+def test_the_unquoted_choice_wording_selects_and_matches_its_own_digest(capsys, monkeypatch):
+    monkeypatch.setattr(argparse.ArgumentParser, "_check_value", _unquoted_check_value)
+    assert not _quotes_choices()
+    pairs = [(argv, sha1) for _, argv, sha1 in GOLDEN_USAGE if not isinstance(sha1, str)]
+    assert len(pairs) == 3
+    for argv, (quoted, unquoted) in pairs:
+        assert _golden_usage_sha1((quoted, unquoted)) == unquoted != quoted
+        got, printed = _usage_sha1(capsys, monkeypatch, argv)
+        assert got == unquoted, printed
+        assert "(choose from " in printed[2] and "'" not in printed[2].split("(choose from ")[1]

@@ -215,6 +215,17 @@ def test_relabelled_twists_share_the_moved_rows_of_the_table_they_relabel(d, n):
             assert words._moved(written) == band | {-c for c in band}
 
 
+def test_a_relabelled_table_reads_the_moved_rows_only_on_first_use():
+    # deriving the inverse lift or a deck-shifted twist scans nothing; the
+    # derived table takes the written table's set when it is first read
+    lifted_half_twist.cache_clear()
+    groupoid._written_dehn_twist.cache_clear()
+    for written, derived in ((lifted_half_twist(4, 5, 2), lifted_half_twist_inverse(4, 5, 2)),
+                             (groupoid._written_dehn_twist(4, 5, 2), dehn_twist(4, 5, 2, 1))):
+        assert not hasattr(written, "_moves")
+        assert words._moved(derived) is words._moved(written)
+
+
 def _hand_written_dehn_twist(d, n, i, j):
     """The twist along (i, j) written out for every sheet, through the
     validating constructor: the reference for the deck-shifted twists."""
@@ -369,8 +380,8 @@ def test_vertex_action_realises_the_strand_permutation(d, n, raw):
 
 # -- the inverse lift ---------------------------------------------------------------
 
-@pytest.mark.parametrize("d,n,i", [(d, n, i) for d in range(2, 7) for n in range(2, 7)
-                                   for i in range(1, n)])
+@pytest.mark.parametrize("d,n,i", [(d, n, i) for d in range(2, 7) for n in range(2, 8)
+                                   for i in range(1, n)] + [(20, 20, i) for i in range(1, 20)])
 def test_inverse_lift_cancels_the_lift(d, n, i):
     forward = lifted_half_twist(d, n, i)
     backward = lifted_half_twist_inverse(d, n, i)

@@ -1,5 +1,7 @@
 """Loop/word translation through the fixed spanning tree."""
 
+import functools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -243,23 +245,72 @@ def test_functor_to_automorphism_is_functorial(dn, data):
 
 
 def _functors(d, n):
+    """(i, F) for every lift, inverse lift and Dehn twist (sheets 1..d) F at
+    index i: each moves only the edges at levels i-1..i+1."""
     for i in range(1, n):
-        yield lifted_half_twist(d, n, i)
-        yield lifted_half_twist_inverse(d, n, i)
+        yield i, lifted_half_twist(d, n, i)
+        yield i, lifted_half_twist_inverse(d, n, i)
         for j in range(1, d + 1):
-            yield dehn_twist(d, n, i, j)
+            yield i, dehn_twist(d, n, i, j)
+
+
+def _loop_route(F):
+    """F's action by the loop route: each generator's x-loop pushed through
+    F and read back as a word, independently of the edge-image formula."""
+    d, n = F.d, F.n
+    return tuple(loop_to_word(apply_functor(F, word_to_loop(Word(d, n, (code,))))).codes
+                 for code in range(1, words.rank(d, n) + 1))
 
 
 def test_functor_action_on_basis_loops_matches_word_images():
-    # the edge-image route against the loop route: lift each generator to its
-    # x-loop, push the loop through F, and rewrite the image as a word
-    for d in range(2, 6):
-        for n in range(2, 6):
-            for F in _functors(d, n):
+    # the edge-image route against the loop route; every level i with
+    # |i - index| > 1 is fixed by F and has P_i = 1 (below the moved band
+    # trivially, above it because F maps the tree path to the level's
+    # interior vertex onto itself), so its rows are the identity's own
+    for d in range(2, 7):
+        for n in range(2, 8):
+            fixed = identity_automorphism(d, n).table
+            for index, F in _functors(d, n):
                 table = functor_to_automorphism(F).table
-                for code, row in enumerate(table, start=1):
-                    x = Word(d, n, (code,))
-                    assert loop_to_word(apply_functor(F, word_to_loop(x))).codes == row
+                assert table == _loop_route(F), (d, n, index)
+                for level in range(1, n):
+                    if abs(level - index) > 1:
+                        rows = range((level - 1) * (d - 1), level * (d - 1))
+                        assert all(table[k] is fixed[k] for k in rows), (d, n, index, level)
+
+
+@given(st.integers(2, 6), st.integers(2, 7), st.data())
+def test_composites_translate_like_the_loop_route(d, n, data):
+    pool = [F for _, F in _functors(d, n)]
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=4))
+    F = functools.reduce(compose_functors, [pool[k] for k in picks])
+    assert functor_to_automorphism(F).table == _loop_route(F)
+
+
+@pytest.mark.parametrize("d,n", [(2, 2), (2, 5), (3, 4), (5, 6)])
+def test_a_level_the_functor_fixes_behind_a_moved_tree_edge_is_conjugated(d, n):
+    # F moves only e[0,1] -> e[0,1]*e[1,1]*e[1,2]^-1, a tree edge, so P_i is
+    # x[1,1] at every level i: F fixes every level from 2 on, yet no level
+    # keeps the identity's rows, and x -> x[1,1]*x*x[1,1]^-1 on every row
+    table = list(identity_functor(d, n).table)
+    table[0] = (1, d + 1, -(d + 2))
+    F = groupoid.GroupoidFunctor(d, n, table)
+    got = functor_to_automorphism(F).table
+    assert got == tuple(words._reduce_onto([], (1, c, -1)) for c in range(1, words.rank(d, n) + 1))
+    assert got == _loop_route(F)
+
+
+@pytest.mark.parametrize("d,n,level", [(3, 2, 1), (4, 5, 2), (5, 6, 5)])
+def test_a_level_that_moves_only_its_last_edge_is_not_skipped(d, n, level):
+    # F moves only e[level,d] -> e[level,1]*e[level,2]^-1*e[level,d], so P_i
+    # is empty at every level and the level differs from the identity's in
+    # its last row alone
+    table = list(identity_functor(d, n).table)
+    table[level * d + d - 1] = (level * d + 1, -(level * d + 2), level * d + d)
+    F = groupoid.GroupoidFunctor(d, n, table)
+    got = functor_to_automorphism(F).table
+    assert got != identity_automorphism(d, n).table
+    assert got == _loop_route(F)
 
 
 def test_a_long_strand_count_translates_in_linear_time():
