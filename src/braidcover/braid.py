@@ -10,11 +10,13 @@ three independent routes that must agree generator by generator:
   * the groupoid route     -- the lifted half twist pushed through
                               pi1.functor_to_automorphism.
 
-Every product of maps -- a braid word, each side of a braid relation at
-the functor and the automorphism level, and the d-1 Dehn twists of a
-factorization -- is built by one right fold, `_product`; the first factor
-still acts first.  A braid word that is a proper power u^k folds only its
-root u, then raises the product to the k-th power by repeated squaring.
+A product of distinct maps -- a braid word's root, each side of a braid
+relation at the functor and the automorphism level -- is built by one
+right fold, `_product`; the first factor still acts first.  A product of
+one map's translates is built by left-to-right doubling, `_power`: a braid
+word that is a proper power u^k raises the product of its root u to the
+k-th power, and the d-1 Dehn twists of a factorization, each the deck
+shift of the one before, double along the deck orbit.
 The inverse generator comes from the inverse lift on the groupoid side,
 the lift conjugated by a reflection of the sheets, so no general
 automorphism inversion is ever needed.
@@ -163,13 +165,35 @@ def _product(compose, maps):
     pushes only the rows it moves through the product of the later factors
     and shares the rest.  The letter budget bounds every row built on the
     way, so a product near the budget is refused or not according to its
-    suffix products.
+    suffix products.  A product of one map's translates is `_power`'s.
     """
     maps = list(maps)
     product = maps.pop()
     while maps:
         product = compose(maps.pop(), product)
     return product
+
+
+def _power(compose, first, k, shift=lambda f, m: f):
+    """Product of k >= 1 factors F_t = shift(first, t), t = 0..k-1, F_{k-1}
+    acting first and F_0 = `first` last: by default k copies of `first`.
+
+    `compose(f, g)` applies f first.  `shift(f, m)` must respect
+    composition and add up, shift(shift(f, a), b) = shift(f, a + b).  Then
+    the product R(m) of F_0, ..., F_{m-1} doubles as R(2m) = shift(R(m), m)
+    then R(m), and grows as R(m + 1) = shift(first, m) then R(m).  Reading
+    the bits of k from the left, that is floor(log2 k) + popcount(k) - 1
+    compositions, each pushing the rows of the shifted factor through the
+    product so far.  The letter budget bounds every row built on the way,
+    so a power near the budget is refused or not according to the products
+    the doubling builds.
+    """
+    run, m = first, 1
+    for bit in bin(k)[3:]:  # the bits of k after the leading one
+        run, m = compose(shift(run, m), run), 2 * m
+        if bit == "1":
+            run, m = compose(shift(first, m), run), m + 1
+    return run
 
 
 def _power_root(letters: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
@@ -190,13 +214,13 @@ def evaluate(w: BraidWord) -> FreeAutomorphism:
 
     The word is read as u^k with u its shortest root.  The letters of u are
     folded once from the right, and that product is raised to the k-th
-    power by left-to-right square-and-multiply, each multiply step pushing
-    u's short rows through the power so far.  The fold rebuilds nearly
-    every row at every letter, while the powers the squaring builds are
-    about square roots of the result.  The letter budget bounds every row
-    built on the way, so a proper power near the budget is refused or not
-    according to the suffix products of u and the powers the squaring
-    builds, not the word's own suffix products.
+    power by `_power`'s left-to-right square-and-multiply, each multiply
+    step pushing u's short rows through the power so far.  The fold
+    rebuilds nearly every row at every letter, while the powers the
+    squaring builds are about square roots of the result.  The letter
+    budget bounds every row built on the way, so a proper power near the
+    budget is refused or not according to the suffix products of u and the
+    powers the squaring builds, not the word's own suffix products.
 
     A product refused by the letter budget names the word's length and
     (d, n); a generator table refused by size already names (d, n).
@@ -206,12 +230,7 @@ def evaluate(w: BraidWord) -> FreeAutomorphism:
     maps = [generator_action(d, n, letter) for letter in root]
     maps.append(words.identity_automorphism(d, n))  # so the empty word has a product
     try:
-        base = power = _product(words.compose, maps)
-        for bit in bin(k)[3:]:  # the bits of k after the leading one
-            power = words.compose(power, power)
-            if bit == "1":
-                power = words.compose(base, power)
-        return power
+        return _power(words.compose, _product(words.compose, maps), k)
     except BudgetExceededError as exc:
         raise BudgetExceededError(
             f"evaluating a braid word of {len(w)} letters at d={d}, n={n}: {exc}"
@@ -219,15 +238,22 @@ def evaluate(w: BraidWord) -> FreeAutomorphism:
 
 
 def dehn_twist_product(d: int, n: int, i: int) -> FreeAutomorphism:
-    """Action of the product of the d-1 twists along x[i,2], ..., x[i,d].
+    """Action of the product D_2 * ... * D_d of the d-1 twists along
+    x[i,2], ..., x[i,d].
 
     Composed as mapping classes (rightmost twist acts first); the result
-    equals half_twist_action(d, n, i).
+    equals half_twist_action(d, n, i).  The twist D_{j+m} is the deck shift
+    S^m D_j S^-m of D_j, so the product T(m) = D_2 * ... * D_{m+1} doubles
+    as T(2m) = T(m) * S^m T(m) S^-m and grows as T(m+1) = T(m) * D_{m+2}:
+    `_power` over `groupoid._deck_shift` builds T(d-1) from D_2 alone in
+    floor(log2(d-1)) + popcount(d-1) - 1 compositions, and no twist outside
+    sheets 2..d is built.
     """
     words.check_params(d, n)
     words.check_index(d, n, i, words.rank(d, n))
-    twists = [groupoid.dehn_twist(d, n, i, j) for j in range(d, 1, -1)]
-    return pi1.functor_to_automorphism(_product(groupoid.compose_functors, twists))
+    product = _power(groupoid.compose_functors, groupoid.dehn_twist(d, n, i, 2), d - 1,
+                     lambda f, m: groupoid._deck_shift(f, i, m))
+    return pi1.functor_to_automorphism(product)
 
 
 def braid_matrix(w: BraidWord) -> tuple[tuple[int, ...], ...]:

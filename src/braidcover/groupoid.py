@@ -28,12 +28,12 @@ them); a functor's vertex map must also permute the interior vertices.  A
 functor walks its rows in code order and skips only a row equal to the
 identity's whose two endpoints its vertex map fixes: that row is valid.
 Values derived from validated ones -- images, composites, inverses,
-projections and the twists `_relabel` conjugates by a level-keeping graph
+projections and the tables `_relabel` conjugates by a level-keeping graph
 automorphism (the inverse lift by a sheet reflection, Dehn twists at sheets
-j != d by a deck shift) -- are valid by construction and built through the
-private `_trusted` constructors without a second check.  A graph whose edge
-table would exceed `words.LETTER_BUDGET` is refused before anything is
-allocated.
+j != d and products of twists by a deck shift) -- are valid by
+construction and built through the private `_trusted` constructors without
+a second check.  A graph whose edge table would exceed
+`words.LETTER_BUDGET` is refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -330,10 +330,13 @@ def _functor(d: int, n: int, images: dict[Edge, list[tuple[int, int, int]]]) -> 
 
 def _relabel(F: GroupoidFunctor, i: int, sheets: Callable[[int], list[int]]) -> GroupoidFunctor:
     """F conjugated by s: e[l,k] -> e[l, sheets(l)[k-1]], a graph automorphism
-    that keeps every level, so row s(c) is s of row c.  F must move all of
-    the 3d rows at levels i-1..i+1 and no other, and they must name only
-    edges there; only they are rewritten, the result is valid by
-    construction, and it moves the rows F moves, so it shares `_moved(F)`,
+    that keeps every level, so row s(c) is s of row c.  F must move no row
+    outside the 3d rows at levels i-1..i+1, its moved set (`_moved`) must be
+    all of them, and they must name only edges there.  A written twist or
+    lift moves every row of the band; a composite of such maps has the
+    union of its factors' sets, the band again, and its rows name only band
+    edges.  Only the band rows are rewritten, and the result is valid by
+    construction.  s keeps the band, so the result shares `_moved(F)`,
     resolved on its own first use: a table that is only translated, never
     composed, costs no scan of F."""
     d, table = F.d, F.table
@@ -377,19 +380,27 @@ def dehn_twist(d: int, n: int, i: int, j: int) -> GroupoidFunctor:
     """Twist along the standard loop with indices (i, j), sheet mod d.
 
     Only the edge images are stored; the interior swap i <-> i+1 is read
-    off them, as for every functor.  The twist at sheet d, the last one
-    `braid.dehn_twist_product` needs, is written out, validated and cached
-    (`_written_dehn_twist`); the twist at any other sheet j is its
-    conjugate by the j-th power of the deck shift e[l,k] -> e[l,k+1] (the
-    identity when d divides j), built by `_relabel` on each call.  So each
-    (d, n, i) validates and keeps one table.
+    off them, as for every functor.  The twist at sheet d is written out,
+    validated and cached (`_written_dehn_twist`); the twist at any other
+    sheet j is its deck shift by j (`_deck_shift`), built on each call.  So
+    each (d, n, i) validates and keeps one table.
     """
     check_params(d, n)
     check_index(d, n, i, (n + 1) * d)
     if j != d:
-        shifted = [*range(j % d + 1, d + 1), *range(1, j % d + 1)]
-        return _relabel(_written_dehn_twist(d, n, i), i, lambda level: shifted)
+        return _deck_shift(_written_dehn_twist(d, n, i), i, j)
     return _written_dehn_twist(d, n, i)
+
+
+def _deck_shift(F: GroupoidFunctor, i: int, m: int) -> GroupoidFunctor:
+    """F conjugated by the m-th power of the deck shift e[l,k] -> e[l,k+1]
+    (the identity when d divides m), through `_relabel`: F must move only
+    the band of levels i-1..i+1, as a twist there or a product of such
+    twists does.  The shift of the twist at sheet j is the twist at sheet
+    j + m."""
+    d = F.d
+    shifted = [*range(m % d + 1, d + 1), *range(1, m % d + 1)]
+    return _relabel(F, i, lambda level: shifted)
 
 
 @lru_cache(maxsize=None)

@@ -9,15 +9,17 @@ translation takes from the identity are checked too), `walk_every_row` is
 the functor validation that walks every row, against which the
 `GroupoidFunctor` constructor is checked, `compose_every_row` is the
 composition that pushes every row of the first map through the second,
-against which `words._compose_rows` is checked, and `spell_word` and
-`spell_path` spell text one letter at a time from the generators and
+against which `words._compose_rows` is checked, `twist_fold` is the
+product of the d-1 Dehn twists folded one twist at a time, against which
+the doubling in `braid.dehn_twist_product` is checked, and `spell_word`
+and `spell_path` spell text one letter at a time from the generators and
 edges listed by index, against which `format_word` and `format_path` are
 checked.  Nothing in the package calls them.
 """
 
 from functools import lru_cache
 
-from braidcover import groupoid, pi1, words
+from braidcover import braid, groupoid, pi1, words
 from braidcover.errors import EndpointMismatchError
 from braidcover.groupoid import EdgePath
 
@@ -112,6 +114,13 @@ def compose_every_row(rows, table) -> tuple[tuple[int, ...], ...]:
         table[row[0] - 1] if len(row) == 1 and row[0] > 0 else words._substitute(table, row, memo)
         for row in rows
     )
+
+
+def twist_fold(d: int, n: int, i: int) -> groupoid.GroupoidFunctor:
+    """The functor D_2 * ... * D_d, the twist D_d acting first, folded from
+    the right over every twist: d-2 compositions of the d-1 twists."""
+    twists = [groupoid.dehn_twist(d, n, i, j) for j in range(d, 1, -1)]
+    return braid._product(groupoid.compose_functors, twists)
 
 
 def _spell(codes, names) -> str:

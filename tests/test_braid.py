@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from braidcover import braid, groupoid, pi1, words
 from braidcover.errors import BudgetExceededError
+from braidcover.groupoid import GroupoidFunctor
 from braidcover.braid import (
     BraidWord,
     CheckResult,
@@ -393,22 +394,98 @@ def test_two_sheet_cover_needs_a_single_twist(n):
         assert single == dehn_twist_product(2, n, i)
 
 
-@pytest.mark.parametrize("d,n,entries", [(2, 4, 1), (5, 3, 4)])
+def _translations(monkeypatch):
+    """The list that each functor `pi1.functor_to_automorphism` translates
+    is appended to from now on."""
+    translated, translate = [], pi1.functor_to_automorphism
+    monkeypatch.setattr(pi1, "functor_to_automorphism",
+                        lambda F: translated.append(F) or translate(F))
+    return translated
+
+
+@pytest.mark.parametrize("d,n,entries", [(2, 4, 1), (5, 3, 4), (8, 3, 7)])
 def test_a_twist_product_builds_no_twist_it_does_not_use(monkeypatch, d, n, entries):
-    # the twist at sheet d is written out, and the twists at sheets 2..d-1
-    # are its deck translates, so no sheet-1 twist is built on the way and
-    # only the written table is kept
-    sheets = []
-    twist = groupoid.dehn_twist
-    monkeypatch.setattr(groupoid, "dehn_twist",
-                        lambda d, n, i, j: sheets.append(j) or twist(d, n, i, j))
+    # the twist at sheet d is written out, the product starts from its deck
+    # translate at sheet 2, and every other factor is a deck translate of a
+    # product of twists: following the sheets each functor on the way spans,
+    # none spans sheet 1, each composite joins two disjoint runs, and the
+    # product spans sheets d..2 in the order they act; only the written
+    # table is kept
+    spans = {}
+
+    def noted(F, sheets):
+        spans[id(F)] = (F, sheets)  # F kept, so its id is not reused
+        return F
+
+    twist, shift, compose = groupoid.dehn_twist, groupoid._deck_shift, groupoid.compose_functors
+
+    def joined(f, g):
+        assert set(spans[id(f)][1]).isdisjoint(spans[id(g)][1])
+        return noted(compose(f, g), spans[id(f)][1] + spans[id(g)][1])
+
+    monkeypatch.setattr(groupoid, "dehn_twist", lambda d, n, i, j: noted(twist(d, n, i, j), [j]))
+    monkeypatch.setattr(groupoid, "_deck_shift", lambda F, i, m: noted(
+        shift(F, i, m), [(sheet + m - 1) % d + 1 for sheet in spans[id(F)][1]]))
+    monkeypatch.setattr(groupoid, "compose_functors", joined)
+    translated = _translations(monkeypatch)
     groupoid._written_dehn_twist.cache_clear()
     try:
+        noted(groupoid._written_dehn_twist(d, n, 1), [d])
         dehn_twist_product(d, n, 1)
+        sheets = spans[id(translated[0])][1]
         assert sheets == list(range(d, 1, -1)) and len(sheets) == entries
+        assert all(1 not in sheets for _, sheets in spans.values())
         assert groupoid._written_dehn_twist.cache_info().currsize == 1
     finally:
         groupoid._written_dehn_twist.cache_clear()
+
+
+@pytest.mark.parametrize("d,n", [(d, n) for d in range(2, 13) for n in range(2, 8)]
+                         + [(20, 20), (30, 10)])
+def test_the_doubled_twist_product_is_the_fold(monkeypatch, d, n):
+    # the functor `dehn_twist_product` translates has the table of the fold
+    # over all d-1 twists, each composite checked against the composition
+    # that pushes every row (so the moved set a deck-shifted product shares
+    # covers its rows), and the validating constructor accepts it
+    translated = _translations(monkeypatch)
+    monkeypatch.setattr(groupoid, "compose_functors", _checked(groupoid.compose_functors))
+    for i in range(1, n):
+        dehn_twist_product(d, n, i)
+        table = translated.pop().table
+        assert table == reference.twist_fold(d, n, i).table, i
+        assert GroupoidFunctor(d, n, table).table == table
+
+
+def test_a_twist_product_composes_once_per_doubling_and_set_bit(monkeypatch):
+    # floor(log2(d-1)) doublings, and one more step for each set bit of d-1
+    # after the leading one, against d-2 compositions of the fold
+    calls = []
+    compose = groupoid.compose_functors
+    monkeypatch.setattr(groupoid, "compose_functors",
+                        lambda f, g: calls.append(1) or compose(f, g))
+    for d in range(2, 41):
+        k = d - 1
+        assert dehn_twist_product(d, 3, 1) == half_twist_action(d, 3, 1)
+        assert len(calls) == k.bit_length() - 1 + bin(k).count("1") - 1, d
+        calls.clear()
+
+
+@settings(max_examples=60)
+@given(strategies.braid_letters_with_params(max_d=3, max_n=4, max_size=2), st.integers(1, 12))
+def test_a_power_by_doubling_is_the_fold_of_its_copies(data, k):
+    d, n, letters = data
+    f = braid._product(compose, [generator_action(d, n, s) for s in letters]
+                       + [identity_automorphism(d, n)])
+    assert braid._power(compose, f, k).table == braid._product(compose, [f] * k).table
+
+
+def test_a_power_puts_the_last_translate_first():
+    # runs of integers, composed by concatenation in the order they act and
+    # shifted by adding: the product of the k translates of (0,) lists
+    # F_{k-1} first and F_0 last, as the twist product lists D_d first
+    for k in range(1, 65):
+        run = braid._power(lambda f, g: f + g, (0,), k, lambda f, m: tuple(t + m for t in f))
+        assert run == tuple(range(k - 1, -1, -1)), k
 
 
 def test_twist_product_fixes_far_generators():
@@ -441,15 +518,16 @@ def test_twist_product_swaps_vertices_only_for_even_sheet_counts(d, expect_swap)
 
 
 def test_relation_sides_and_the_twist_product_fold_from_the_right(monkeypatch):
-    # Folded from the right, every composition takes one cached factor
-    # first; a left fold would pass the composite of the earlier factors.
+    # Folded from the right, every composition of a relation side takes one
+    # cached factor first; a left fold would pass the composite of the
+    # earlier factors.  The twist product doubles instead: each composition
+    # takes first a deck translate of the product so far.
     factors = [f for i in range(1, 5)
                for f in (half_twist_action(4, 5, i), groupoid.lifted_half_twist(4, 5, i))]
-    # the twists at sheets 2..d-1 are built afresh on each call, so the
-    # twist product's factors are the twists it is handed
-    twist = groupoid.dehn_twist
-    monkeypatch.setattr(groupoid, "dehn_twist",
-                        lambda *args: factors.append(twist(*args)) or factors[-1])
+    shifts = []
+    shift = groupoid._deck_shift
+    monkeypatch.setattr(groupoid, "_deck_shift",
+                        lambda *args: shifts.append(shift(*args)) or shifts[-1])
     firsts = []
     for module, name in ((words, "compose"), (groupoid, "compose_functors")):
         def first_noted(f, g, compose=getattr(module, name)):
@@ -459,9 +537,11 @@ def test_relation_sides_and_the_twist_product_fold_from_the_right(monkeypatch):
     assert check_braid_relations(4, 5).all_passed
     assert dehn_twist_product(5, 3, 1) == half_twist_action(5, 3, 1)
     # 3 braid relations of two compositions a side and 3 far commutations
-    # of one, at two levels; then 3 compositions of the 4 Dehn twists
-    assert len(firsts) == 2 * 2 * (3 * 2 + 3 * 1) + 3
-    assert all(any(f is factor for factor in factors) for f in firsts)
+    # of one, at two levels; then 2 doublings of the sheet-2 twist to the
+    # 4 Dehn twists, after the shift that derives that twist
+    assert len(firsts) == 2 * 2 * (3 * 2 + 3 * 1) + 2
+    assert all(any(f is factor for factor in factors) for f in firsts[:-2])
+    assert len(shifts) == 3 and all(f is g for f, g in zip(firsts[-2:], shifts[1:]))
 
 
 # -- abelianized layer -------------------------------------------------------------------

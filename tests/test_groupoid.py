@@ -258,6 +258,27 @@ def test_deck_shifted_twists_match_the_hand_written_formula(d):
                 assert GroupoidFunctor(d, n, F.table) == F
 
 
+@st.composite
+def band_functors(draw):
+    """(F, i, d): a functor that moves no row outside the band of levels
+    i-1..i+1 and whose moved set is the band, at d, n in 2..6: the written
+    twist, the lift, the inverse lift, or the product of the d-1 twists
+    along (i, 2), ..., (i, d)."""
+    d, n = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    i = draw(st.integers(1, n - 1))
+    build = draw(st.sampled_from((groupoid._written_dehn_twist, lifted_half_twist,
+                                  lifted_half_twist_inverse, reference.twist_fold)))
+    return build(d, n, i), i, d
+
+
+@given(band_functors(), st.integers(-12, 12), st.integers(-12, 12))
+def test_deck_shifts_add_up_and_a_full_turn_is_the_identity(case, a, b):
+    F, i, d = case
+    shift = groupoid._deck_shift
+    assert shift(shift(F, i, a), i, b).table == shift(F, i, a + b).table
+    assert shift(F, i, d).table == shift(F, i, 0).table == F.table
+
+
 # -- functor application and composition -------------------------------------------
 
 def test_apply_identity_functor():
