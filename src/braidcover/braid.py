@@ -10,6 +10,9 @@ three independent routes that must agree generator by generator:
   * the groupoid route     -- the lifted half twist pushed through
                               pi1.functor_to_automorphism.
 
+The two formula routes spell each moved image as a product of a few runs
+of consecutive codes (`_run`) and share the identity automorphism's rows.
+
 A product of distinct maps -- a braid word's root, each side of a braid
 relation at the functor and the automorphism level -- is built by one
 right fold, `_product`; the first factor still acts first.  A product of
@@ -31,6 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import chain
+from operator import add
 
 from . import groupoid, pi1, words
 from .errors import BudgetExceededError
@@ -82,69 +87,78 @@ def half_twist_action(d: int, n: int, i: int) -> FreeAutomorphism:
     """Closed-form action of braid generator i on the x[i,j] basis.
 
     Row i-1 (absent when i = 1) and row i+1 (absent when i = n-1) are
-    conjugated into row i; row i is shuffled within itself.  Sheet index
-    d, when it appears as j+1, expands into the basis automatically.
+    conjugated into row i; row i is shuffled within itself.  Each image is
+    a product of runs of one row's letters (`_run`), so sheet index d,
+    when it appears as j+1, is read into the basis by the run's own rule.
     """
     words.check_params(d, n)
     words.check_index(d, n, i, words.rank(d, n))
 
-    def image(row: int, j: int) -> list[tuple[int, int, int]]:
+    def image(row: int, j: int) -> tuple[range, ...]:
         if row == i - 1:
-            return (
-                [(i - 1, t, -1) for t in range(j - 1, 0, -1)]
-                + [(i, j + 1, 1)]
-                + [(i - 1, t, 1) for t in range(1, j + 1)]
-            )
+            return _run(d, i - 1, 1, j - 1, -1), _run(d, i, j + 1, j + 1), _run(d, i - 1, 1, j)
         if row == i:
-            return [(i, t, 1) for t in range(2, j + 1)] + [(i, t, -1) for t in range(j + 1, 1, -1)]
-        return (  # row i + 1
-            [(i, t, -1) for t in range(j - 1, 0, -1)]
-            + [(i + 1, j, 1)]
-            + [(i, t, 1) for t in range(1, j + 1)]
-        )
+            return _run(d, i, 2, j), _run(d, i, 2, j + 1, -1)
+        return _run(d, i, 1, j - 1, -1), _run(d, i + 1, j, j), _run(d, i, 1, j)  # row i + 1
 
     return _automorphism_from_images(d, n, i, image)
 
 
 def conjugate_twist_action(d: int, n: int, i: int) -> FreeAutomorphism:
     """Same action assembled from prefix loops; the `cross` suite compares
-    it with the closed form (a mismatch means a transcription bug)."""
+    it with the closed form (a mismatch means a transcription bug).
+
+    Rows i-1 and i+1 are the closed form's own letter lists, so that check
+    is independent on row i alone; only the groupoid route checks rows
+    i-1 and i+1 independently.
+    """
     words.check_params(d, n)
     words.check_index(d, n, i, words.rank(d, n))
 
-    def y(row: int, j: int) -> list[tuple[int, int, int]]:
-        # prefix loop x[row,1]*...*x[row,j-1]; at j = d+1 the expansion of
-        # x[row,d] cancels the whole prefix, so no wrapping is needed
-        return [(row, t, 1) for t in range(1, j)]
+    def y(row: int, j: int, sign: int = 1) -> range:
+        # prefix loop (x[row,1]*...*x[row,j-1])^sign; at j = d+1 the run
+        # ends with x[row,d], which cancels the whole prefix
+        return _run(d, row, 1, j - 1, sign)
 
-    def y_inv(row: int, j: int) -> list[tuple[int, int, int]]:
-        return [(row, t, -1) for t in range(j - 1, 0, -1)]
-
-    def image(row: int, j: int) -> list[tuple[int, int, int]]:
+    def image(row: int, j: int) -> tuple[range, ...]:
         if row == i - 1:
-            return y_inv(i - 1, j) + [(i, j + 1, 1)] + y(i - 1, j + 1)
+            return y(i - 1, j, -1), _run(d, i, j + 1, j + 1), y(i - 1, j + 1)
         if row == i:
-            return [(i, 1, -1)] + y(i, j + 1) + y_inv(i, j + 2) + [(i, 1, 1)]
-        return y_inv(i, j) + [(i + 1, j, 1)] + y(i, j + 1)  # row i + 1
+            return _run(d, i, 1, 1, -1), y(i, j + 1), y(i, j + 2, -1), _run(d, i, 1, 1)
+        return y(i, j, -1), _run(d, i + 1, j, j), y(i, j + 1)  # row i + 1
 
     return _automorphism_from_images(d, n, i, image)
 
 
-def _automorphism_from_images(d, n, i, image) -> FreeAutomorphism:
-    """Automorphism of generator i: x[row,j] goes to the letter triples
-    `image(row, j)` in the rows i-1..i+1 it moves, and every other row is
-    fixed without calling `image`.
+def _run(d: int, row: int, a: int, b: int, sign: int = 1) -> range:
+    """Codes of (x[row,a]*...*x[row,b])^sign, 1 <= a <= d and a-1 <= b <= d, as
+    one reduced range of consecutive codes, empty when b = a-1.  x[row,d] is
+    y[row,d]^-1, so a run reaching sheet d is y[row,a]^-1, a negative range,
+    and y[row,d+1] is empty."""
+    base = (row - 1) * (d - 1)
+    if b == d:
+        low, high, sign = base + 1, base + a, -sign
+    else:
+        low, high = base + a, base + b + 1
+    return range(low, high) if sign > 0 else range(1 - high, 1 - low)
 
-    Rows near row i grow like j and the table like d^2, so the rows are
-    built lazily and a table past the letter budget is refused after
-    O(budget) work."""
-    near = range(i - 1, i + 2)
-    rows = (
-        words._reduce_onto([], words._encode(d, n, image(row, j))) if row in near
-        else ((row - 1) * (d - 1) + j,)
-        for row in range(1, n)
-        for j in range(1, d)
-    )
+
+def _automorphism_from_images(d, n, i, image) -> FreeAutomorphism:
+    """Automorphism of generator i: x[row,j] goes to the runs `image(row, j)`,
+    joined in one C-level call, in rows i-1..i+1, and every other row is the
+    identity automorphism's row object.  A joined row goes through
+    `words._reduce_onto` only if one C-level scan finds a letter next to
+    its inverse, as at a seam of the conjugate form's row i.  The moved
+    rows, which grow like j, are built lazily, and the letter budget counts
+    the whole table, identity rows included, so a table past it is refused
+    after O(budget) work."""
+    identity = words.identity_automorphism(d, n).table
+    first, last = max(i - 1, 1), min(i + 1, n - 1)
+    moved = (tuple(chain.from_iterable(image(row, j)))
+             for row in range(first, last + 1) for j in range(1, d))
+    rows = chain(identity[:(first - 1) * (d - 1)],
+                 (words._reduce_onto([], c) if 0 in map(add, c, c[1:]) else c for c in moved),
+                 identity[last * (d - 1):])
     return FreeAutomorphism._trusted(d, n, words.bounded_table(d, n, rows))
 
 

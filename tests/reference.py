@@ -11,10 +11,14 @@ the functor validation that walks every row, against which the
 composition that pushes every row of the first map through the second,
 against which `words._compose_rows` is checked, `twist_fold` is the
 product of the d-1 Dehn twists folded one twist at a time, against which
-the doubling in `braid.dehn_twist_product` is checked, and `spell_word`
+the doubling in `braid.dehn_twist_product` is checked, `spell_word`
 and `spell_path` spell text one letter at a time from the generators and
 edges listed by index, against which `format_word` and `format_path` are
-checked.  Nothing in the package calls them.
+checked, and `closed_form_by_letters` and `conjugate_form_by_letters` build
+the two formula routes' tables one (i, j, sign) letter at a time, against
+which the code runs of `braid.half_twist_action` and
+`braid.conjugate_twist_action` are checked.  Nothing in the package calls
+them.
 """
 
 from functools import lru_cache
@@ -142,3 +146,58 @@ def spell_path(p: EdgePath) -> str:
     d, n = p.d, p.n
     names = {i * d + j: f"e[{i},{j}]" for i in range(n + 1) for j in range(1, d + 1)}
     return _spell(p.steps, names) or groupoid.format_vertex(p.start)
+
+
+def _table_by_letters(d: int, n: int, i: int, image) -> tuple[tuple[int, ...], ...]:
+    """Every row of generator i's table: x[row,j] goes to the reduced word of
+    the (i, j, sign) triples `image(row, j)` in rows i-1..i+1, each triple
+    expanded by `words._encode`, and every other row is (code,)."""
+    return tuple(
+        words._reduce_onto([], words._encode(d, n, image(row, j))) if abs(row - i) <= 1
+        else ((row - 1) * (d - 1) + j,)
+        for row in range(1, n)
+        for j in range(1, d)
+    )
+
+
+def closed_form_by_letters(d: int, n: int, i: int) -> tuple[tuple[int, ...], ...]:
+    """The closed form's table, letter by letter; x[i,d] is expanded by
+    `words._expand_symbol`."""
+
+    def image(row: int, j: int) -> list[tuple[int, int, int]]:
+        if row == i - 1:
+            return (
+                [(i - 1, t, -1) for t in range(j - 1, 0, -1)]
+                + [(i, j + 1, 1)]
+                + [(i - 1, t, 1) for t in range(1, j + 1)]
+            )
+        if row == i:
+            return [(i, t, 1) for t in range(2, j + 1)] + [(i, t, -1) for t in range(j + 1, 1, -1)]
+        return (  # row i + 1
+            [(i, t, -1) for t in range(j - 1, 0, -1)]
+            + [(i + 1, j, 1)]
+            + [(i, t, 1) for t in range(1, j + 1)]
+        )
+
+    return _table_by_letters(d, n, i, image)
+
+
+def conjugate_form_by_letters(d: int, n: int, i: int) -> tuple[tuple[int, ...], ...]:
+    """The conjugate form's table, letter by letter, from the prefix loops
+    y[i,j] = x[i,1]*...*x[i,j-1]."""
+
+    def y(row: int, j: int) -> list[tuple[int, int, int]]:
+        # at j = d+1 the expansion of x[row,d] cancels the whole prefix
+        return [(row, t, 1) for t in range(1, j)]
+
+    def y_inv(row: int, j: int) -> list[tuple[int, int, int]]:
+        return [(row, t, -1) for t in range(j - 1, 0, -1)]
+
+    def image(row: int, j: int) -> list[tuple[int, int, int]]:
+        if row == i - 1:
+            return y_inv(i - 1, j) + [(i, j + 1, 1)] + y(i - 1, j + 1)
+        if row == i:
+            return [(i, 1, -1)] + y(i, j + 1) + y_inv(i, j + 2) + [(i, 1, 1)]
+        return y_inv(i, j) + [(i + 1, j, 1)] + y(i, j + 1)  # row i + 1
+
+    return _table_by_letters(d, n, i, image)

@@ -109,6 +109,23 @@ def test_conjugate_form_matches_closed_form(d, n):
         assert conjugate_twist_action(d, n, i) == half_twist_action(d, n, i)
 
 
+@pytest.mark.parametrize("d,n", [(d, n) for d in range(2, 10) for n in range(2, 10)]
+                         + [(20, 20), (30, 10), (10, 30)])
+def test_the_formula_tables_match_their_letter_by_letter_references(d, n):
+    # every row of both formula routes, built from code runs, equals the
+    # (i, j, sign) transcription reduced one letter at a time, and every row
+    # outside i-1..i+1 is the identity automorphism's row object
+    fixed = identity_automorphism(d, n).table
+    for i in range(1, n):
+        for build, by_letters in ((half_twist_action, reference.closed_form_by_letters),
+                                  (conjugate_twist_action, reference.conjugate_form_by_letters)):
+            table = build(d, n, i).table
+            assert all(type(row) is tuple for row in table)
+            assert table == by_letters(d, n, i)
+            band = range((i - 2) * (d - 1), (i + 1) * (d - 1))
+            assert all(row is fixed[k] for k, row in enumerate(table) if k not in band)
+
+
 # -- braid words and evaluation -----------------------------------------------------
 
 def test_braid_word_validation():
@@ -735,12 +752,42 @@ def test_the_dehn_check_refuses_an_oversized_closed_form_before_any_twist(monkey
 
 def test_an_oversized_closed_form_is_refused_after_o_budget_work(monkeypatch):
     # d = 101, n = 2: the 100 rows pass the row count at a budget of 100, and
-    # row j holds 2j - 1 letters, so rows 1..10 fill the budget exactly and
-    # row 11 is the last one built
-    built = []
-    encode = words._encode
-    monkeypatch.setattr(words, "_encode", lambda d, n, letters: built.append(1) or encode(d, n, letters))
-    monkeypatch.setattr(words, "LETTER_BUDGET", 100)
-    with pytest.raises(BudgetExceededError):
-        half_twist_action(101, 2, 1)
-    assert len(built) == 11
+    # row j holds 2j - 1 letters in either form, so rows 1..10 fill the
+    # budget exactly and row 11 is the last one built.  Each row is built
+    # from a fixed number of code runs, so rows are counted by their runs.
+    runs = []
+    run = braid._run
+    monkeypatch.setattr(braid, "_run", lambda *args: runs.append(args) or run(*args))
+    budget = words.LETTER_BUDGET
+    for build in (half_twist_action.__wrapped__, conjugate_twist_action):
+        runs.clear()
+        build(101, 2, 1)
+        per_row, rest = divmod(len(runs), 100)
+        assert per_row and not rest
+        runs.clear()
+        monkeypatch.setattr(words, "LETTER_BUDGET", 100)
+        with pytest.raises(BudgetExceededError):
+            build(101, 2, 1)
+        monkeypatch.setattr(words, "LETTER_BUDGET", budget)
+        assert len(runs) == 11 * per_row
+
+
+@pytest.mark.parametrize("build,reference", [
+    (half_twist_action.__wrapped__, reference.closed_form_by_letters),
+    (conjugate_twist_action, reference.conjugate_form_by_letters),
+], ids=["closed", "conjugate"])
+def test_the_budget_counts_the_identity_rows_outside_the_band(monkeypatch, build, reference):
+    # at d = 6, n = 7, i = 3 the band (rows 2..4) holds fewer letters than
+    # the table, whose rows 1, 5 and 6 are the identity's: a budget that
+    # the band alone fits is still refused
+    d, n, i = 6, 7, 3
+    table = reference(d, n, i)
+    band = table[(i - 2) * (d - 1):(i + 1) * (d - 1)]
+    letters, band_letters = sum(map(len, table)), sum(map(len, band))
+    assert letters - band_letters == 15
+    monkeypatch.setattr(words, "LETTER_BUDGET", band_letters)
+    with pytest.raises(BudgetExceededError, match=f"^the images for d=6, n=7 hold more letters "
+                                                  f"than the letter budget of {band_letters}$"):
+        build(d, n, i)
+    monkeypatch.setattr(words, "LETTER_BUDGET", letters)
+    assert build(d, n, i).table == table
