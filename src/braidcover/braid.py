@@ -150,15 +150,15 @@ def _automorphism_from_images(d, n, i, image) -> FreeAutomorphism:
     `words._reduce_onto` only if one C-level scan finds a letter next to
     its inverse, as at a seam of the conjugate form's row i.  The moved
     rows, which grow like j, are built lazily, and the letter budget counts
-    the whole table, identity rows included, so a table past it is refused
-    after O(budget) work."""
-    identity = words.identity_automorphism(d, n).table
+    the whole table, the identity rows of each side in one step and each
+    moved row as it is built, so a table past it is refused after
+    O(budget) work."""
     first, last = max(i - 1, 1), min(i + 1, n - 1)
     moved = (tuple(chain.from_iterable(image(row, j)))
              for row in range(first, last + 1) for j in range(1, d))
-    rows = chain(identity[:(first - 1) * (d - 1)],
+    rows = chain((range(1, (first - 1) * (d - 1) + 1),),
                  (words._reduce_onto([], c) if 0 in map(add, c, c[1:]) else c for c in moved),
-                 identity[last * (d - 1):])
+                 (range(last * (d - 1) + 1, words.rank(d, n) + 1),))
     return FreeAutomorphism._trusted(d, n, words.bounded_table(d, n, rows))
 
 
@@ -390,11 +390,29 @@ DESK_GRIDS = (
 )
 
 
+def _check_count(n: int, suite: str) -> int:
+    """Number of checks the suite `suite` runs at n branch points."""
+    return {"relations": (n - 1) * (n - 2), "dehn": n - 1, "lift": n - 1,
+            "cross": 2 * (n - 1)}[suite]
+
+
 def run_suite(d: int, n: int, suite: str = "all") -> Report:
-    """Run one named verification suite, or all of them in order."""
+    """Run one named verification suite, or all of them in order.
+
+    A run of more checks than the letter budget is refused before any
+    table is built: each check composes or translates tables of about
+    d*n rows, so past that count the run would take hours, not fail.
+    """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick one of {('all', *SUITES)}")
     names = tuple(SUITES) if suite == "all" else (suite,)
+    words.check_params(d, n)
+    checks = sum(_check_count(n, name) for name in names)
+    if checks > words.LETTER_BUDGET:
+        raise BudgetExceededError(
+            f"the {suite} suite at d={d}, n={n} runs {checks} checks, more than the "
+            f"letter budget of {words.LETTER_BUDGET}"
+        )
     # each checker is looked up on the module at call time, so a wrapper
     # installed there (such as a tracer) sees the call
     return Report(tuple(

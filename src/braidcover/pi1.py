@@ -77,8 +77,9 @@ def functor_to_automorphism(F: GroupoidFunctor) -> FreeAutomorphism:
     where P_i is empty and F's d rows are the identity functor's, found by
     one slice comparison, takes its d-1 rows from the identity
     automorphism's table, the same row objects; every other row is built
-    from the words of the few edges it needs.  The rows are built lazily,
-    so like the closed form a table past the letter budget is refused
+    from the words of the few edges it needs.  The rows are built lazily
+    and their letters counted one row at a time, a shared level's in one
+    step, so like the closed form a table past the letter budget is refused
     after O(budget) work.
     """
     d, n = F.d, F.n
@@ -96,7 +97,7 @@ def functor_to_automorphism(F: GroupoidFunctor) -> FreeAutomorphism:
                 # P_i = 1 and F fixes the level: x[i,j] -> x[i,j], and the
                 # tree edge e[i,1] retracts to 1
                 first = ()
-                yield from words.identity_automorphism(d, n).table[(i - 1) * (d - 1):i * (d - 1)]
+                yield range((i - 1) * (d - 1) + 1, i * (d - 1) + 1)
                 continue
             back = [-c for c in reversed(prefix)]
             here = first = word(i * d + 1)

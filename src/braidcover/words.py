@@ -25,9 +25,15 @@ map moves (`_moved`) are scanned once and kept on the map, outside its
 fields; a composite takes the union of its factors' sets, a superset,
 which keeps the shortcut exact.  Every substitution goes through one kernel,
 `_substitute`, with a memo its caller keeps for one table (one composite, or
-one `apply`): each negative code's inverted row, and the run cancelled where
+one `apply`): each negative code's inverted row, the run cancelled where
 the images of a letter pair meet at a long seam, which for a fixed map
-depends on the pair alone.  The public constructors of words and
+depends on the pair alone, and the images of runs of consecutive codes.
+A run of at least RUN_FROM codes is pushed as one piece, its image a
+prefix image of the runs from its lowest code, extended from the longest
+one kept; the closed forms spell their images from such runs, the prefix
+loops y[i,j] = x[i,1]*...*x[i,j-1] among them, so each prefix loop of a
+row family is pushed through the later map once per composite, not once
+per row.  The public constructors of words and
 automorphisms store codes as tuples and check the parameters and that every
 word or row is a reduced word over the basis, so equal maps have equal
 tables; values derived from validated ones (products, images, composites,
@@ -42,8 +48,8 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, compress, count, pairwise
-from operator import add, itemgetter, ne, neg
-from typing import Iterable
+from operator import add, itemgetter, ne, neg, sub
+from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError, ParameterMismatchError
 
@@ -55,6 +61,16 @@ LETTER_BUDGET = 10**6
 # `_substitute`; shorter ones letter by letter.  The verify suites' images
 # stay below it (at most 56 letters at d = n = 20); long braid words pass it.
 SCAN_FROM = 128
+
+# Runs of at least this many consecutive codes are substituted as one piece
+# by `_substitute`; a sequence shorter than this is not searched for them.
+# The crossover, on in-process relations at n = 20 against the parent (two
+# copies of the parent read up to 15% apart; CHANGES.md has the sweeps): at
+# 6, d = 8 and 9 run 6-30% slower, a family of runs that short having too
+# few rows to pay for the prefix images it keeps; at 8, d up to 12 stays
+# within that spread and d = 14..20 runs 6-38% faster; at 10 or 12, d = 20
+# gains less than at 8.
+RUN_FROM = 8
 
 
 def rank(d: int, n: int) -> int:
@@ -90,9 +106,13 @@ def check_index(d: int, n: int, i: int, size: int) -> None:
     check_table_size(d, n, size)
 
 
-def bounded_table(d: int, n: int, rows: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+def bounded_table(d: int, n: int, rows: Iterable[tuple[int, ...] | range]
+                  ) -> tuple[tuple[int, ...], ...]:
     """Collect table rows, refusing as soon as their letters pass the letter
-    budget, so the work done before a refusal is O(budget)."""
+    budget, so the work done before a refusal is O(budget).  A range of
+    codes among them stands for the identity automorphism's rows of those
+    codes, the same row objects: its letters, one per row, are added in
+    one step."""
     table, letters = [], 0
     for row in rows:
         letters += len(row)
@@ -101,7 +121,10 @@ def bounded_table(d: int, n: int, rows: Iterable[tuple[int, ...]]) -> tuple[tupl
                 f"the images for d={d}, n={n} hold more letters than the letter budget "
                 f"of {LETTER_BUDGET}"
             )
-        table.append(row)
+        if type(row) is range:
+            table.extend(identity_automorphism(d, n).table[row.start - 1:row.stop - 1])
+        else:
+            table.append(row)
     return tuple(table)
 
 
@@ -201,15 +224,118 @@ def _cancelled_run(left, right, start: int) -> int:
     return end
 
 
-def _substitute(table, codes: Iterable[int], memo: dict) -> tuple[int, ...]:
+def _runs(codes: Sequence[int]) -> Sequence[tuple[int, int]]:
+    """(start, end) of each maximal run of at least RUN_FROM consecutive
+    codes in `codes`, c, c+1, ..., c+k or its inverse -(c+k), ..., -c.
+
+    A sequence shorter than RUN_FROM, or with no RUN_FROM codes in a row
+    whose ends differ by RUN_FROM - 1 (one C-level pass), has none and is
+    not read letter by letter."""
+    if len(codes) < RUN_FROM or RUN_FROM - 1 not in map(sub, codes[RUN_FROM - 1:], codes):
+        return ()
+    runs, start, last = [], 0, codes[0]
+    for i in range(1, len(codes)):
+        c = codes[i]
+        if c != last + 1:
+            if i - start >= RUN_FROM:
+                runs.append((start, i))
+            start = i
+        last = c
+    if len(codes) - start >= RUN_FROM:
+        runs.append((start, len(codes)))
+    return runs
+
+
+def _row_runs(m, c: int) -> Sequence[tuple[int, int]]:
+    """`_runs` of the row of code c of the map `m`, found on first use and
+    kept on `m` outside its fields, so a map that is the first factor of
+    many composites reads each of its rows for runs once."""
+    kept = getattr(m, "_runs", None)
+    if kept is None:
+        kept = {}
+        object.__setattr__(m, "_runs", kept)
+    runs = kept.get(c)
+    if runs is None:
+        runs = kept[c] = _runs(m.table[c - 1])
+    return runs
+
+
+def _pieces(table, codes: Sequence[int], memo: dict, runs) -> Sequence[int]:
+    """`codes` with each of its `runs` (`_runs`) taken as one piece where
+    `memo` can keep its image, or `codes` itself.
+
+    The piece of the run c..c+k or its inverse is a key below every code,
+    -2 * (c * len(table) + k + 1), less one for the inverse, under which
+    `memo` keeps the piece's image.  The image of c..c+k is the prefix
+    image of length k+1 of the runs from c, which `memo[c]` keeps by
+    length: a longer one extends the longest kept, one image at a time, so
+    each prefix image of a row family is built once per table.  `memo[0]`
+    holds the letters kept in prefix and piece images, and the length of
+    the longest prefix image met while building them, which bounds the
+    outputs `_substitute` checks; no image is built once the letters
+    reach LETTER_BUDGET, so the memo stays O(budget).
+    """
+    book = memo.get(0)
+    if book is None:
+        book = memo[0] = [0, 0]  # letters kept, longest prefix image built
+    size, items, at = len(table), [], 0
+    for s, e in runs:
+        first, length = codes[s], e - s
+        low = first if first > 0 else -codes[e - 1]
+        key = -2 * (low * size + length) - (first < 0)
+        if key not in memo:
+            if book[0] >= LETTER_BUDGET:
+                continue
+            prefixes = memo.get(low)
+            if prefixes is None:
+                prefixes = memo[low] = [()]
+            kept = min(length, len(prefixes) - 1)
+            while prefixes[kept] is None:
+                kept -= 1
+            img = prefixes[kept]
+            if kept < length:
+                p, widest = list(img), book[1]
+                for img in table[low + kept - 1:low + length - 1]:
+                    if p and img and p[-1] == -img[0]:
+                        if len(img) > SCAN_FROM:
+                            k = _cancelled_run(p, img, 1)
+                        else:
+                            k, m = 1, min(len(p), len(img))
+                            while k < m and p[-1 - k] == -img[k]:
+                                k += 1
+                        del p[len(p) - k:]
+                        p.extend(img[k:])
+                    else:
+                        p.extend(img)
+                    if len(p) > widest:
+                        widest = len(p)
+                img = tuple(p)
+                prefixes.extend([None] * (length + 1 - len(prefixes)))
+                prefixes[length] = img
+                book[0] += len(img)
+                book[1] = widest
+            if first < 0:
+                img = tuple(map(neg, reversed(img)))
+                book[0] += len(img)
+            memo[key] = img
+        items.extend(codes[at:s])
+        items.append(key)
+        at = e
+    if not items:
+        return codes
+    items.extend(codes[at:])
+    return items
+
+
+def _substitute(table, codes: Sequence[int], memo: dict, runs=()) -> tuple[int, ...]:
     """Freely reduced image of a code sequence under a letter substitution.
 
     `table[c - 1]` holds the image codes of code c > 0, a freely reduced
     tuple or range; a negative code contributes the inverse of its image.
     The dict `memo` belongs to the caller, who passes one dict to all its
     calls through the same table: it keeps each negative code's inverted
-    image, built on first use, and the run cancelled at each long seam's
-    letter pair (below).
+    image, built on first use, the run cancelled at each long seam's
+    letter pair and the images of runs of consecutive codes (below).
     Since each image is reduced, only its head can cancel, against the tail
     of the output so far: the image is spliced at that seam, and when its
     first letter does not cancel it is appended whole.
@@ -234,9 +360,29 @@ def _substitute(table, codes: Iterable[int], memo: dict) -> tuple[int, ...]:
     the scan of the output starts there.  The short regime pays for this
     only the bookkeeping of `prev` and `cut`.  The budget is checked once
     per code, so a blow-up stops early.
+
+    Each maximal run of at least RUN_FROM consecutive codes, c, c+1, ...,
+    c+k or its inverse, that the caller names in `runs` (`_runs`; none by
+    default) is pushed as one piece (`_pieces`): a key below every code
+    whose image the memo keeps, spliced through the same two regimes as
+    any image.  `_compose_rows` and `apply` name the runs of their rows;
+    the path substitutions of `groupoid` and `pi1` name none.  Pushed code
+    by code, the output inside a run is
+    at most the output before it and two prefix images of the run (the
+    outputs of an inverse run are suffix images, each at most two prefix
+    images long), and the output before it at most the output after the
+    piece and the piece's own image, itself a prefix image or its inverse.
+    So a sequence with pieces is held to the budget less three times the
+    longest prefix image built, and one past that lowered budget is pushed
+    again code by code under the budget itself: every result and every
+    refusal, message included, is the one pushing every code gives.
     """
-    out: list[int] = []
     budget = LETTER_BUDGET
+    if runs:
+        whole, codes = codes, _pieces(table, codes, memo, runs)
+        if codes is not whole:
+            budget -= 3 * memo[0][1]
+    out: list[int] = []
     # prev: the previous code; cut: the letters of its image cancelled at
     # its seam, 0 if it was appended whole
     prev = cut = 0
@@ -273,6 +419,9 @@ def _substitute(table, codes: Iterable[int], memo: dict) -> tuple[int, ...]:
             cut = 0
         prev = c
         if len(out) > budget:
+            if runs and codes is not whole:
+                # past the lowered budget: push every code on its own
+                return _substitute(table, whole, memo)
             raise BudgetExceededError(f"result exceeds the letter budget of {budget}")
     return tuple(out)
 
@@ -322,11 +471,13 @@ def _compose_rows(f, g):
     one positive code a takes g's row a - 1 itself; one with no letter
     among the rows g moves is its own image and is kept whole; every other
     row goes through `_substitute`, all of them with one memo, so each
-    inverted row is built, and each long seam's letter pair scanned, once
-    per composite.  The composite shares these rows of f and g, so both
-    tables hold tuples, as every automorphism and functor table does
-    (unlike the range rows of `pi1._edge_words`).  Its moved rows are
-    covered by those of f and g, without a scan.
+    inverted row is built, each long seam's letter pair scanned and each
+    prefix image of a run built once per composite; the runs of a row of
+    f no shorter than RUN_FROM are found once per map (`_row_runs`).  The
+    composite shares these rows of f and g, so both tables hold tuples, as
+    every automorphism and functor table does (unlike the range rows of
+    `pi1._edge_words`).  Its moved rows are covered by those of f and g,
+    without a scan.
     """
     rows, table = f.table, g.table
     moved, moves = _moved(f), _moved(g)
@@ -340,7 +491,8 @@ def _compose_rows(f, g):
         elif disjoint(row):
             out[c - 1] = row
         else:
-            out[c - 1] = _substitute(table, row, memo)
+            out[c - 1] = _substitute(table, row, memo,
+                                     _row_runs(f, c) if len(row) >= RUN_FROM else ())
     return _keep_moved(type(f)._trusted(f.d, f.n, tuple(out)), (moved, moves))
 
 
@@ -441,7 +593,7 @@ def identity_automorphism(d: int, n: int) -> FreeAutomorphism:
 def apply(f: FreeAutomorphism, w: Word) -> Word:
     """Apply f letter by letter; homomorphic by construction."""
     _same_params(f, w)
-    return Word._trusted(f.d, f.n, _substitute(f.table, w.codes, {}))
+    return Word._trusted(f.d, f.n, _substitute(f.table, w.codes, {}, _runs(w.codes)))
 
 
 def compose(f: FreeAutomorphism, g: FreeAutomorphism) -> FreeAutomorphism:

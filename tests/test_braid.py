@@ -638,6 +638,47 @@ def test_run_suite_rejects_unknown_names():
         run_suite(3, 3, "everything")
 
 
+def test_the_check_counts_are_the_suites_own():
+    for d, n in ((2, 2), (3, 3), (2, 6), (4, 5)):
+        for suite in braid.SUITES:
+            assert braid._check_count(n, suite) == len(run_suite(d, n, suite))
+
+
+@pytest.mark.parametrize("suite,n,checks", [
+    ("relations", 7, 30), ("dehn", 32, 31), ("lift", 32, 31), ("cross", 17, 32), ("all", 5, 28),
+])
+def test_a_suite_of_more_checks_than_the_budget_is_refused_before_any_table(monkeypatch, suite,
+                                                                            n, checks):
+    # one check fewer than the budget runs; one more is refused naming the
+    # suite, (d, n) and the count, and no generator, lift or twist is built
+    def never(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(words, "LETTER_BUDGET", checks - 1)
+    for module, name in ((braid, "half_twist_action"), (braid, "conjugate_twist_action"),
+                         (groupoid, "lifted_half_twist"), (groupoid, "dehn_twist"),
+                         (groupoid, "verify_lift")):
+        monkeypatch.setattr(module, name, never)
+    with pytest.raises(BudgetExceededError, match=(
+            f"^the {suite} suite at d=3, n={n} runs {checks} checks, more than the letter "
+            f"budget of {checks - 1}$")):
+        run_suite(3, n, suite)
+    monkeypatch.setattr(words, "LETTER_BUDGET", checks)
+    ran = []
+    for name, checker in braid.SUITES.items():
+        monkeypatch.setattr(braid, checker.__name__,
+                            lambda d, n, name=name: ran.append(name) or Report(()))
+    run_suite(3, n, suite)
+    assert ran == (list(braid.SUITES) if suite == "all" else [suite])
+
+
+def test_the_check_count_is_refused_after_the_parameters_are_checked():
+    with pytest.raises(ValueError, match="^parameter d must be >= 2, got d=1$"):
+        run_suite(1, 100_000, "relations")
+    with pytest.raises(BudgetExceededError, match="runs 9999700002 checks"):
+        run_suite(2, 100_000, "relations")
+
+
 def test_failing_comparison_names_the_first_differing_generator():
     result = braid._compare(
         "probe", half_twist_action(3, 2, 1), identity_automorphism(3, 2)

@@ -157,6 +157,13 @@ def test_budget_exhaustion_is_a_runtime_failure(capsys, monkeypatch):
     assert "budget" in err
 
 
+def test_a_suite_out_of_reach_exits_one_at_once(capsys):
+    code, out, err = run_cli(capsys, "verify", "--d", "2", "--n", "100000", "--suite", "relations")
+    assert (code, out) == (1, "")
+    assert err == ("error: the relations suite at d=2, n=100000 runs 9999700002 checks, more "
+                   "than the letter budget of 1000000\n")
+
+
 def test_word_growth_past_the_budget_exits_one(capsys, monkeypatch):
     # every table at d = n = 3 holds at most (n+1)d = 12 images, so only the
     # growing words can exceed a budget of 12

@@ -469,6 +469,203 @@ def test_substitute_cancels_long_runs_by_either_regime(table, codes, expected):
     assert _substitute_letter_by_letter(table, codes, words.LETTER_BUDGET) == expected
 
 
+# -- runs of consecutive codes as pieces ----------------------------------------
+
+@st.composite
+def run_substitutions(draw):
+    """A table of RUN_FROM + 1 to 3 * RUN_FROM reduced rows and the codes
+    to push through it, made of runs of at least RUN_FROM consecutive
+    codes, of either sign, some next to their own inverse, between single
+    codes.  Rows are short words over a small alphabet, telescoping words
+    w[c-1]^-1 * w[c], whose runs cancel down to the two ends, or words
+    longer than SCAN_FROM, so a piece meets its neighbours at short and
+    long seams."""
+    size = draw(st.integers(words.RUN_FROM + 1, 3 * words.RUN_FROM))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    alphabet = draw(st.integers(1, 3))
+
+    def word(length):
+        out = []
+        while len(out) < length:
+            c = rng.choice((1, -1)) * rng.randint(1, alphabet)
+            if not out or out[-1] != -c:
+                out.append(c)
+        return out
+
+    kinds = draw(st.lists(st.sampled_from(("short", "telescoping", "long")), min_size=1,
+                          max_size=3))
+    ends = [word(rng.randint(0, 6)) for _ in range(size + 1)]
+    table = []
+    for c in range(1, size + 1):
+        kind = rng.choice(kinds)
+        if kind == "short":
+            row = word(rng.randint(0, 5))
+        elif kind == "telescoping":
+            row = [-t for t in reversed(ends[c - 1])] + ends[c]
+        else:
+            row = word(rng.randint(words.SCAN_FROM + 1, words.SCAN_FROM + 20))
+        table.append(words._reduce_onto([], row))
+    run = st.tuples(st.integers(1, size - words.RUN_FROM + 1), st.integers(0, size),
+                    st.sampled_from((1, -1)), st.booleans())
+    single = st.integers(1, size).flatmap(lambda c: st.sampled_from(((c,), (-c,))))
+    codes = []
+    for piece in draw(st.lists(st.one_of(run, single), min_size=1, max_size=4)):
+        if len(piece) == 1:
+            codes.extend(piece)
+            continue
+        low, extra, sign, twice = piece
+        codes_of_run = list(range(low, min(low + words.RUN_FROM + extra, size + 1)))
+        if sign < 0:
+            codes_of_run = [-c for c in reversed(codes_of_run)]
+        codes.extend(codes_of_run)
+        if twice:  # the same run again, inverted, right after it
+            codes.extend(-c for c in reversed(codes_of_run))
+    return tuple(table), codes
+
+
+@settings(max_examples=300)
+@given(run_substitutions(), st.integers(0, 400))
+def test_substitute_takes_runs_as_pieces_like_the_letter_by_letter_reference(case, budget):
+    table, codes = case
+    expected = _substitute_letter_by_letter(table, codes, words.LETTER_BUDGET)
+    memo = {}
+    assert words._substitute(table, codes, memo, words._runs(codes)) == expected
+    # a second call through the same memo reads the kept pieces
+    assert words._substitute(table, codes, memo, words._runs(codes)) == expected
+    # under a small budget both refuse exactly the same inputs
+    with mock.patch.object(words, "LETTER_BUDGET", budget):
+        try:
+            _substitute_letter_by_letter(table, codes, budget)
+        except BudgetExceededError:
+            with pytest.raises(BudgetExceededError, match=f"^result exceeds the letter budget "
+                                                          f"of {budget}$"):
+                words._substitute(table, codes, {}, words._runs(codes))
+        else:
+            assert words._substitute(table, codes, {}, words._runs(codes)) == expected
+
+
+class _Reads(tuple):
+    """A table that records how many images each slice of it reads."""
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            self.reads.append(len(range(*key.indices(len(self)))))
+        return super().__getitem__(key)
+
+
+def test_prefix_images_are_built_once_per_table_from_the_one_before():
+    # the runs from code 1 grow one image at a time over the rows of one
+    # composite, and an inverse run reads the prefix image of its length:
+    # 8 images build the first prefix image and one more each longer one
+    rng = random.Random(3)
+    rows = [tuple(rng.choice((1, 2, 3)) for _ in range(4)) for _ in range(24)]
+    table = _Reads(words._reduce_onto([], row) for row in rows)
+    table.reads = []
+    memo = {}
+    pushed = [tuple(range(1, 9)), (20,) + tuple(range(1, 10)), tuple(range(-9, 0)) + (5,),
+              tuple(range(-10, 0)), tuple(range(1, 11)) + tuple(range(-8, 0))]
+    for codes in pushed:
+        assert words._substitute(table, codes, memo, words._runs(codes)) == (
+            _substitute_letter_by_letter(table, codes, words.LETTER_BUDGET))
+    assert table.reads == [8, 1, 1]
+    assert [length for length, image in enumerate(memo[1]) if image is not None] == [0, 8, 9, 10]
+
+
+def test_a_run_past_the_lowered_budget_is_pushed_code_by_code_and_refused_as_without_pieces(
+        monkeypatch):
+    # image(c) and image(c+1) are a word of 60 letters and its inverse, so
+    # the run 1..8 cancels to nothing, but pushed code by code the output
+    # holds 61 letters after code 1: a budget of 60 is refused, though the
+    # piece's own image is empty, and 61 is not
+    word = tuple(range(101, 161))
+    table = tuple(word if c % 2 else _inverse(word) for c in range(1, 11)) + ((7,),)
+    codes = (11,) + tuple(range(1, 9)) + (11,)
+    monkeypatch.setattr(words, "LETTER_BUDGET", 60)
+    with pytest.raises(BudgetExceededError):
+        _substitute_letter_by_letter(table, codes, 60)
+    with pytest.raises(BudgetExceededError, match="^result exceeds the letter budget of 60$"):
+        words._substitute(table, codes, {}, words._runs(codes))
+    monkeypatch.setattr(words, "LETTER_BUDGET", 61)
+    assert words._substitute(table, codes, {}, words._runs(codes)) == (7, 7)
+
+
+def test_a_run_whose_images_do_not_telescope_is_refused_with_the_same_message(monkeypatch):
+    # ten letters per image and nothing cancels: the run 1..8 holds 80
+    # letters, so a budget of 79 refuses the row and 80 takes it
+    table = tuple(tuple(range(10 * c + 1, 10 * c + 11)) for c in range(1, 13))
+    codes = tuple(range(1, 9))
+    for budget, refused in ((79, True), (80, False)):
+        monkeypatch.setattr(words, "LETTER_BUDGET", budget)
+        if refused:
+            with pytest.raises(BudgetExceededError,
+                               match=f"^result exceeds the letter budget of {budget}$"):
+                words._substitute(table, codes, {}, words._runs(codes))
+        else:
+            assert words._substitute(table, codes, {}, words._runs(codes)) == tuple(range(11, 91))
+
+
+def test_the_memo_stops_keeping_piece_images_at_the_letter_budget(monkeypatch):
+    # 40 rows of 12 letters that never cancel.  The runs of 8 and 11 codes
+    # from each start keep prefix images of 96 and 132 letters, 228 letters
+    # a start, so after 13 starts (2,964 letters) the 14th keeps its first
+    # image (3,060) and no other is built: the later runs are pushed code
+    # by code, each still the reference's image
+    budget = 3000
+    monkeypatch.setattr(words, "LETTER_BUDGET", budget)
+    table = tuple(tuple(range(100 * c + 1, 100 * c + 13)) for c in range(1, 41))
+    memo = {}
+    for low in range(1, 30):
+        for length in (8, 11):
+            codes = tuple(range(low, low + length))
+            assert words._substitute(table, codes, memo, words._runs(codes)) == (
+                _substitute_letter_by_letter(table, codes, budget))
+    kept = {low: [length for length, image in enumerate(memo[low]) if image]
+            for low in memo if isinstance(low, int) and low > 0}
+    assert kept == {**{low: [8, 11] for low in range(1, 14)}, 14: [8]}
+    assert memo[0] == [13 * 228 + 96, 132]
+    assert sum(1 for key in memo if isinstance(key, int) and key < -len(table)) == 13 * 2 + 1
+
+
+@pytest.mark.parametrize("d,n,rows", [
+    # a run that crosses from row 1 to row 2 of the basis, both signs
+    (9, 4, {1: tuple(range(3, 15)), 9: tuple(range(-20, -7))}),
+    # a run, another letter, then the same run inverted; a run of every code
+    (9, 4, {2: tuple(range(1, 10)) + (12,) + tuple(range(-9, 0)), 5: tuple(range(1, 25))}),
+    # runs from one start that grow over the rows of one composite
+    (12, 3, {c: tuple(range(1, c + 2)) for c in range(7, 20)}),
+])
+def test_compose_takes_runs_as_pieces_like_the_fold_that_pushes_every_row(d, n, rows):
+    table = list(identity_automorphism(d, n).table)
+    for c, row in rows.items():
+        table[c - 1] = row
+    f = FreeAutomorphism(d, n, table)
+    for g in (braid.half_twist_action(d, n, 1), braid.generator_action(d, n, -(n - 1)),
+              compose(braid.half_twist_action(d, n, n - 1), braid.generator_action(d, n, -1))):
+        assert compose(f, g).table == reference.compose_every_row(f.table, g.table)
+
+
+@pytest.mark.parametrize("d", [9, 12, 20])
+def test_relation_composites_take_runs_as_pieces_like_the_fold_that_pushes_every_row(
+        monkeypatch, d):
+    # both sides of every relation at n = 5, each composite checked against
+    # the reference, and pieces taken on the way
+    n, taken = 5, []
+    pieces = words._pieces
+    monkeypatch.setattr(words, "_pieces",
+                        lambda table, codes, *rest: taken.append(1) or pieces(table, codes, *rest))
+
+    def step(f, g):
+        h = compose(f, g)
+        assert h.table == reference.compose_every_row(f.table, g.table)
+        return h
+
+    for _, lhs, rhs in braid._relations(n):
+        left, right = (braid._product(step, [braid.half_twist_action(d, n, i) for i in side])
+                       for side in (lhs, rhs))
+        assert left == right
+    assert taken or d - 1 < words.RUN_FROM
+
+
 def test_compose_identity_is_neutral():
     f = braid.half_twist_action(3, 3, 1)
     assert compose(f, identity_automorphism(3, 3)) == f
@@ -574,6 +771,26 @@ def test_out_of_range_symbol_rejected():
         reduce(3, 3, [(3, 1, 1)])  # i must be <= n-1
     with pytest.raises(ValueError):
         reduce(3, 3, [(0, 1, 1)])
+
+
+def test_a_bounded_table_adds_a_range_of_identity_rows_in_one_step(monkeypatch):
+    # a range of codes stands for the identity automorphism's rows, the
+    # same objects, and its letters, one a row, pass the budget at once
+    d, n = 4, 5
+    identity = identity_automorphism(d, n).table
+    table = words.bounded_table(d, n, iter([range(1, 4), (5, -4, 6), (4,), range(5, 10)]))
+    assert table == identity[:3] + ((5, -4, 6), (4,)) + identity[4:9]
+    assert all(a is b for a, b in zip(table[:3] + table[5:], identity[:3] + identity[4:9]))
+
+    def rows():
+        yield (1,)
+        yield range(2, 10)
+        raise AssertionError("a row was built after the refusal")
+
+    monkeypatch.setattr(words, "LETTER_BUDGET", 8)
+    with pytest.raises(BudgetExceededError, match="^the images for d=4, n=5 hold more letters "
+                                                  "than the letter budget of 8$"):
+        words.bounded_table(d, n, rows())
 
 
 def test_letter_budget_guard(monkeypatch):
