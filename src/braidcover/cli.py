@@ -42,13 +42,15 @@ def _print_tables(rows, mode: str) -> None:
 
 def _print_map(f, key: str, mode: str) -> None:
     """One line per table row of an automorphism or functor; row c - 1 is
-    named by the one-code row (c,), which spells generator or edge c."""
+    named by the one-code row (c,), which spells generator or edge c.  The
+    image goes to `print` as its own argument, so a long image is not
+    copied into a second string."""
     for code, row in enumerate(f.table, start=1):
         name, text = f._view((code,)), f._view(row)
         if mode == "structured":
-            print(f"{key}={name} image={text}")
+            print(f"{key}={name} image=", text, sep="")
         else:
-            print(f"{name} -> {text}")
+            print(name, "->", text)
 
 
 def _print_matrix(matrix, mode: str) -> None:
@@ -120,16 +122,22 @@ _COMMANDS = (
 )
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser of `argv`: every subcommand, but only those that `argv`
+    names get their options, or every one when it names none.  argparse
+    reads the options of the chosen subcommand alone, so every help and
+    usage text is the one a parser with all options prints."""
     parser = argparse.ArgumentParser(
         prog="braidcover",
         description="Braid group actions on free groups from branched covers of a disk.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    named = {command[0] for command in _COMMANDS}.intersection(argv)
     for name, help_text, options, action in _COMMANDS:
         cmd = sub.add_parser(name, help=help_text)
-        for option in (*options.split(), "output-mode"):
-            cmd.add_argument(f"--{option}", **_OPTIONS[option])
+        if name in named or not named:
+            for option in (*options.split(), "output-mode"):
+                cmd.add_argument(f"--{option}", **_OPTIONS[option])
         cmd.set_defaults(action=action)
     return parser
 
@@ -139,8 +147,8 @@ def run(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     try:
         return run(args)
     except BudgetExceededError as exc:

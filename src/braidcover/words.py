@@ -25,9 +25,9 @@ map moves (`_moved`) are scanned once and kept on the map, outside its
 fields; a composite takes the union of its factors' sets, a superset,
 which keeps the shortcut exact.  Every substitution goes through one kernel,
 `_substitute`, with a memo its caller keeps for one table (one composite, or
-one `apply`): each negative code's inverted row, the run cancelled where
-the images of a letter pair meet at a long seam, which for a fixed map
-depends on the pair alone, and the images of runs of consecutive codes.
+one `apply`): each inverted row, the run cancelled where the images of a
+letter pair meet at a long seam, which for a fixed map depends on the
+pair alone, and the images of runs of consecutive codes.
 A run of at least RUN_FROM codes is pushed as one piece, its image a
 prefix image of the runs from its lowest code, extended from the longest
 one kept; the closed forms spell their images from such runs, the prefix
@@ -48,7 +48,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, compress, count, pairwise
-from operator import add, itemgetter, ne, neg, sub
+from operator import itemgetter, ne, neg, sub
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError, ParameterMismatchError
@@ -57,8 +57,8 @@ from .errors import BudgetExceededError, ParameterMismatchError
 # BudgetExceededError instead of exhausting memory past this point.
 LETTER_BUDGET = 10**6
 
-# Images longer than this cancel at a seam by one C-level scan in
-# `_substitute`; shorter ones letter by letter.  The verify suites' images
+# Images longer than this cancel at a seam by C-level slice comparisons
+# against their inverse in `_substitute`; shorter ones letter by letter.  The verify suites' images
 # stay below it (at most 56 letters at d = n = 20); long braid words pass it.
 SCAN_FROM = 128
 
@@ -203,25 +203,45 @@ def _reduce_onto(out: list[int], codes: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _cancelled_run(left, right, start: int) -> int:
-    """Length of the run cancelled where `left` meets `right`, given that
-    the first `start` letters cancel: the first i >= start with
-    left[-1 - i] + right[i] != 0, or the shorter length if there is none.
+def _common_suffix(left, right, start: int) -> int:
+    """Length of the common suffix of `left` and `right` whose last `start`
+    letters agree: the first i >= start with left[-1 - i] != right[-1 - i],
+    or the shorter length.  The run cancelled where `left` meets an image
+    is its common suffix with the image's inverse (`_inverse`).
 
-    C-level scans over slices of both rows from `start` on, each block
-    twice as long as the one before, so the letters known to cancel are
-    not stepped over, a long run costs few set-ups, and a list, tuple or
-    range row is read the same way."""
-    end, top = min(len(left), len(right)), len(left)
+    Returns at once when the letter at `start` differs; else compares
+    slices from `start` on by C-level equality, in blocks of doubling
+    length, and bisects the first block that differs.  Both slices are
+    read as tuples, so list, tuple and range rows compare alike."""
+    top, size = len(left), len(right)
+    end = min(top, size)
+    if start >= end or left[top - 1 - start] != right[size - 1 - start]:
+        return min(start, end)
     i, width = start, 32
     while i < end:
         j = min(i + width, end)
-        run = next(compress(count(i), map(add, reversed(left[top - j:top - i]), right[i:j])),
-                   None)
-        if run is not None:
-            return run
+        if tuple(left[top - j:top - i]) != tuple(right[size - j:size - i]):
+            while j - i > 1:  # letters i..j-1 hold the first difference
+                h = (i + j) // 2
+                if tuple(left[top - h:top - i]) == tuple(right[size - h:size - i]):
+                    i = h
+                else:
+                    j = h
+            return i
         i, width = j, 2 * width
     return end
+
+
+def _inverse(table, c: int, img, memo: dict):
+    """Inverse of `img`, the image of code or piece key c: a negative code's
+    row, else kept in `memo` under -c or the piece's partner key."""
+    if 0 < -c <= len(table):
+        return table[-c - 1]
+    back = -c if c > 0 else -(-c ^ 1)
+    inv = memo.get(back)
+    if inv is None:
+        inv = memo[back] = tuple(map(neg, reversed(img)))
+    return inv
 
 
 def _runs(codes: Sequence[int]) -> Sequence[tuple[int, int]]:
@@ -266,10 +286,12 @@ def _pieces(table, codes: Sequence[int], memo: dict, runs) -> Sequence[int]:
 
     The piece of the run c..c+k or its inverse is a key below every code,
     -2 * (c * len(table) + k + 1), less one for the inverse, under which
-    `memo` keeps the piece's image.  The image of c..c+k is the prefix
-    image of length k+1 of the runs from c, which `memo[c]` keeps by
-    length: a longer one extends the longest kept, one image at a time, so
-    each prefix image of a row family is built once per table.  `memo[0]`
+    `memo` keeps the piece's image: the inverse of one is its partner's.
+    The image of c..c+k is the prefix image of length k+1 of the runs from
+    c, which `memo[c]` keeps by length: a longer one extends the longest
+    kept, one image at a time, its long seams cancelled as `_substitute`
+    cancels them, so each prefix image of a row family is built once per
+    table.  `memo[0]`
     holds the letters kept in prefix and piece images, and the length of
     the longest prefix image met while building them, which bounds the
     outputs `_substitute` checks; no image is built once the letters
@@ -295,10 +317,10 @@ def _pieces(table, codes: Sequence[int], memo: dict, runs) -> Sequence[int]:
             img = prefixes[kept]
             if kept < length:
                 p, widest = list(img), book[1]
-                for img in table[low + kept - 1:low + length - 1]:
+                for c, img in enumerate(table[low + kept - 1:low + length - 1], low + kept):
                     if p and img and p[-1] == -img[0]:
                         if len(img) > SCAN_FROM:
-                            k = _cancelled_run(p, img, 1)
+                            k = _common_suffix(p, _inverse(table, c, img, memo), 1)
                         else:
                             k, m = 1, min(len(p), len(img))
                             while k < m and p[-1 - k] == -img[k]:
@@ -333,23 +355,23 @@ def _substitute(table, codes: Sequence[int], memo: dict, runs=()) -> tuple[int, 
     `table[c - 1]` holds the image codes of code c > 0, a freely reduced
     tuple or range; a negative code contributes the inverse of its image.
     The dict `memo` belongs to the caller, who passes one dict to all its
-    calls through the same table: it keeps each negative code's inverted
-    image, built on first use, the run cancelled at each long seam's
-    letter pair and the images of runs of consecutive codes (below).
-    Since each image is reduced, only its head can cancel, against the tail
-    of the output so far: the image is spliced at that seam, and when its
-    first letter does not cancel it is appended whole.
+    calls through the same table: it keeps each inverted image (of a
+    negative code, or of a long image at a seam), the run cancelled at
+    each long seam's letter pair and the images of runs of consecutive
+    codes (below).  Since each image is reduced, only its head can cancel,
+    against the tail of the output so far: the image is spliced at that
+    seam, and when its first letter does not cancel it is appended whole.
 
     The seam is cancelled in one of two regimes, chosen by the image's
     length against SCAN_FROM.  An image of at most SCAN_FROM letters cancels
     letter by letter in a Python loop, which costs nothing to start and
-    one interpreted turn per letter.  A longer image finds the length of its
-    cancelled run by C-level scans (`_cancelled_run`), drops that run with
-    one `del` and appends the rest with one `extend`.  The split is on image
-    length because that bounds the run and is one comparison per code;
-    bounding the run by both lengths (`min`) costs more than the short
-    images gain, and scanning every seam slows the short-image tables of
-    the verify suites.
+    one interpreted turn per letter.  A longer image's cancelled run is the
+    common suffix of the output and the image's inverse, found by C-level
+    slice comparisons (`_common_suffix`), dropped with one `del`; the rest
+    is appended with one `extend`.  The split is on image length because
+    that bounds the run and is one comparison per code; bounding the run
+    by both lengths (`min`) costs more than the short images gain, and
+    scanning every seam slows the short-image tables of the verify suites.
 
     At a long seam the run depends on the output only past the letters of
     the previous code's image that still end it (`tail`: all of them unless
@@ -367,11 +389,11 @@ def _substitute(table, codes: Sequence[int], memo: dict, runs=()) -> tuple[int, 
     whose image the memo keeps, spliced through the same two regimes as
     any image.  `_compose_rows` and `apply` name the runs of their rows;
     the path substitutions of `groupoid` and `pi1` name none.  Pushed code
-    by code, the output inside a run is
-    at most the output before it and two prefix images of the run (the
-    outputs of an inverse run are suffix images, each at most two prefix
-    images long), and the output before it at most the output after the
-    piece and the piece's own image, itself a prefix image or its inverse.
+    by code, the output inside a run is at most the output before it and
+    two prefix images of the run (the outputs of an inverse run are suffix
+    images, each at most two prefix images long), and the output before it
+    at most the output after the piece and the piece's own image, itself a
+    prefix image or its inverse.
     So a sequence with pieces is held to the budget less three times the
     longest prefix image built, and one past that lowered budget is pushed
     again code by code under the budget itself: every result and every
@@ -402,9 +424,9 @@ def _substitute(table, codes: Sequence[int], memo: dict, runs=()) -> tuple[int, 
                 if tail > 1:
                     k = memo.get((prev, c))
                     if k is None:
-                        k = memo[prev, c] = _cancelled_run(last, img, 1)
+                        k = memo[prev, c] = _common_suffix(last, _inverse(table, c, img, memo), 1)
                 if k >= tail:
-                    k = _cancelled_run(out, img, max(tail, 1))
+                    k = _common_suffix(out, _inverse(table, c, img, memo), max(tail, 1))
                 del out[len(out) - k:]
             else:
                 out.pop()

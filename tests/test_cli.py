@@ -327,6 +327,26 @@ def test_index_errors_read_the_same_at_both_levels(capsys):
         assert (code, out, err) == (2, "", "error: index i must be in 1..2, got i=3\n"), argv
 
 
+@pytest.mark.parametrize("argv", [
+    ("surface", "--d", "4", "--n", "3"),
+    ("tables", "--d", "5", "--n-max", "8", "--output-mode", "structured"),
+    ("lift", "--d", "3", "--n", "3", "--i", "1"),
+    ("dehn", "--d", "3", "--n", "3", "--i", "1", "--j", "2"),
+    ("aut", "--d", "3", "--n", "4", "--i", "2"),
+    ("matrix", "--d", "3", "--n", "4", "--word", "1 -2 3"),
+    ("verify", "--d", "3", "--n", "3", "--suite", "lift"),
+    # another subcommand's name as an option value
+    ("eval", "--d", "3", "--n", "3", "--word", "verify"),
+])
+def test_the_parser_of_an_argv_reads_it_as_the_parser_with_every_option(argv):
+    # a subcommand that argv does not name is declared without its options
+    lean, full = cli._build_parser(argv), cli._build_parser()
+    assert lean.parse_args(argv) == full.parse_args(argv)
+    (commands,) = (a.choices for a in lean._actions if isinstance(a, argparse._SubParsersAction))
+    assert {name for name, parser in commands.items() if len(parser._actions) > 1} == (
+        set(argv) & set(commands))
+
+
 def test_suite_choices_come_from_the_suite_registry(capsys):
     for suite in (*braid.SUITES, "all"):
         assert run_cli(capsys, "verify", "--d", "2", "--n", "3", "--suite", suite)[0] == 0
@@ -359,6 +379,10 @@ GOLDEN_STDOUT = [
      "8f0b41703bd29b7a3b1315dcf16481db47560550", "e1065c4a8a76ebb9d03d869660a58c00effade87"),
     (("eval", "--d", "3", "--n", "5", "--word", " ".join(["-3 2 -1"] * 5)),
      "bb1d6ec1af6c1794dd45740c7928ccab4aa96f1c", "cdd5a00373a973831789f9388fc2f44340b084aa"),
+    # the inverse lift translated at d = 200: hundreds of long seams, pinned
+    # before they were cancelled by slice equality against the inverse image
+    (("eval", "--d", "200", "--n", "3", "--word", "-1 2"),
+     "08a238e4164297844a1427f2b809bd8b6b30464c", "e73b5790cf8761f4a9a7c8c248fd0e54b8c17356"),
 ]
 
 

@@ -371,24 +371,32 @@ def test_substitute_keeps_each_long_seam_run_and_matches_the_reference(table, co
 
 
 @pytest.mark.parametrize("kind", [list, tuple, range])
-def test_cancelled_run_matches_a_letter_by_letter_scan(kind):
-    # runs that end inside, at and just past each block of the scan, from
-    # starts inside the run, over every row type `_substitute` passes
+def test_common_suffix_matches_a_letter_by_letter_scan(kind):
+    # runs that end inside, at and just past each block of the comparison,
+    # from starts inside the run, over every row type `_substitute` passes,
+    # and with the left row a list, as the output is; `right` is the
+    # inverse of the image whose cancelled run against `left` is sought
     rng = random.Random(7)
     for run in (0, 1, 31, 32, 33, 95, 96, 97, 224, 225, 1000):
         for extra in (0, 1, 50):
             if kind is range:
                 a = rng.randint(1, 50)
-                left, right = range(-a - run - extra, -a), range(a + 1, a + 1 + run + extra)
-                left = range(left.start + 1, left.stop) if extra else left  # breaks the run
+                left, right = range(-a - run - extra, -a), range(-a - run - extra, -a)
+                left = range(left.start + 1, left.stop) if extra else left  # shorter
             else:
                 common = [rng.choice((1, -1)) * rng.randint(1, 9) for _ in range(run)]
-                left = kind([5] * extra + [-c for c in reversed(common)])
-                right = kind(common + [5] * extra)
-            expected = next((i for i in range(min(len(left), len(right)))
-                             if left[-1 - i] + right[i] != 0), min(len(left), len(right)))
+                left = kind([5] * extra + common)
+                right = kind([-5] * extra + common)
+            image = _inverse(right)
+            expected = next((i for i in range(min(len(left), len(image)))
+                             if left[-1 - i] + image[i] != 0), min(len(left), len(image)))
+            assert expected == next((i for i in range(min(len(left), len(right)))
+                                     if left[-1 - i] != right[-1 - i]),
+                                    min(len(left), len(right)))
+            assert expected == (run + extra - 1 if kind is range and extra else run)
             for start in {0, min(1, expected), expected // 2, expected}:
-                assert words._cancelled_run(left, right, start) == expected
+                assert words._common_suffix(left, right, start) == expected
+                assert words._common_suffix(list(left), right, start) == expected
 
 
 def test_compose_rows_scans_each_long_seam_pair_once(monkeypatch):
@@ -400,14 +408,37 @@ def test_compose_rows_scans_each_long_seam_pair_once(monkeypatch):
     f, g = _square_maps((image, _inverse(image)[:150] + tuple(range(1001, 1051))),
                         ((1, 2), (2, 1, 2), (-2, 1, 2)))
     scanned = []
-    scan = words._cancelled_run
-    monkeypatch.setattr(words, "_cancelled_run", lambda *args: scanned.append(1) or scan(*args))
+    scan = words._common_suffix
+    monkeypatch.setattr(words, "_common_suffix", lambda *args: scanned.append(1) or scan(*args))
     expected = tuple(_substitute_letter_by_letter(g.table, row, words.LETTER_BUDGET)
                      for row in f.table)
     assert words._compose_rows(f, g).table == expected
     assert len(scanned) == 1
     assert words._compose_rows(f, g).table == expected
     assert len(scanned) == 2
+
+
+def test_the_inverse_of_a_positive_long_image_is_built_once_and_kept(monkeypatch):
+    # image(2) cancels 150 letters of image(1) and 141 of image(3): both
+    # pairs are scanned against the inverse of image(2), built at the first
+    # seam and kept as the image of -2, which a later call pushes; the
+    # seams of -2 and -1 there scan their pair and the output against
+    # rows 2 and 1 themselves
+    image = tuple(range(1, 201))
+    table = (image, _inverse(image)[:150] + tuple(range(1001, 1051)),
+             (7,) + tuple(range(60, 201)))
+    rights = []
+    scan = words._common_suffix
+    monkeypatch.setattr(words, "_common_suffix",
+                        lambda left, right, start: rights.append(right) or scan(left, right, start))
+    memo = {}
+    for codes in ((1, 2, 1, 3, 2), (3, 2, -2, -1)):
+        expected = _substitute_letter_by_letter(table, codes, words.LETTER_BUDGET)
+        assert words._substitute(table, codes, memo) == expected
+    assert memo[-2] == _inverse(table[1])
+    named = {id(memo[-2]): "inverse 2", id(table[1]): "row 2", id(table[0]): "row 1"}
+    assert [named.get(id(right)) for right in rights] == [
+        "inverse 2", "inverse 2", "row 2", "row 2", "row 1", "row 1"]
 
 
 @pytest.mark.parametrize("table,codes,expected", [
