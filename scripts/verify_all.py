@@ -29,7 +29,7 @@ def main() -> int:
             total += len(report)
             failures.extend(
                 f"d={d} n={n} {check.name}: {check.detail}"
-                for check in report.checks
+                for check in report
                 if not check.passed
             )
         elapsed = time.perf_counter() - start

@@ -28,6 +28,9 @@ A product of mapping classes written D_2 * D_3 * ... * D_d composes like
 functions: the rightmost factor acts first.  dehn_twist_product follows
 that convention, which is the one under which the product of the d-1
 twists along x[i,2], ..., x[i,d] reproduces the lifted half twist.
+
+Each verification suite returns a `Report`, the tuple of its `CheckResult`s
+in the order they ran; `run_suite` joins the reports of the suites it runs.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain
 from operator import add
+from typing import NamedTuple
 
 from . import groupoid, pi1, words
 from .errors import BudgetExceededError
@@ -278,23 +282,20 @@ def braid_matrix(w: BraidWord) -> tuple[tuple[int, ...], ...]:
 
 # -- machine verification reports --------------------------------------------
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class Report:
-    checks: tuple[CheckResult, ...]
+class Report(tuple):
+    """The `CheckResult`s of a verification run, in the order they ran."""
+
+    __slots__ = ()
 
     @property
     def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def __len__(self) -> int:
-        return len(self.checks)
+        return all(c.passed for c in self)
 
 
 def _compare(name: str, f, g) -> CheckResult:
@@ -332,11 +333,11 @@ def check_braid_relations(d: int, n: int) -> Report:
         ("functor", groupoid.compose_functors, partial(groupoid.lifted_half_twist, d, n)),
         ("automorphism", words.compose, partial(half_twist_action, d, n)),
     )
-    return Report(tuple(
+    return Report(
         _compare(f"{name} {level}", *(_product(compose, map(act, side)) for side in (lhs, rhs)))
         for name, lhs, rhs in _relations(n)
         for level, compose, act in levels
-    ))
+    )
 
 
 def check_dehn_factorization(d: int, n: int) -> Report:
@@ -348,15 +349,15 @@ def check_dehn_factorization(d: int, n: int) -> Report:
         # before the d - 1 Dehn twists are built and composed
         closed = half_twist_action(d, n, i)
         checks.append(_compare(f"dehn_factorization i={i}", dehn_twist_product(d, n, i), closed))
-    return Report(tuple(checks))
+    return Report(checks)
 
 
 def check_lift_projection(d: int, n: int) -> Report:
     """Collapsing sheets intertwines the lifted and the base half twists."""
     words.check_params(d, n)
-    return Report(tuple(
+    return Report(
         CheckResult(f"lift_projection i={i}", groupoid.verify_lift(d, n, i)) for i in range(1, n)
-    ))
+    )
 
 
 def check_cross_validation(d: int, n: int) -> Report:
@@ -369,7 +370,7 @@ def check_cross_validation(d: int, n: int) -> Report:
         lifted = pi1.functor_to_automorphism(groupoid.lifted_half_twist(d, n, i))
         checks.append(_compare(f"cross_validation i={i} closed/conjugate", closed, conj))
         checks.append(_compare(f"cross_validation i={i} closed/groupoid", closed, lifted))
-    return Report(tuple(checks))
+    return Report(checks)
 
 
 # name -> checker, in the order `run_suite(d, n, "all")` runs them
@@ -401,7 +402,9 @@ def run_suite(d: int, n: int, suite: str = "all") -> Report:
 
     A run of more checks than the letter budget is refused before any
     table is built: each check composes or translates tables of about
-    d*n rows, so past that count the run would take hours, not fail.
+    d*n rows, so past that count the run would take hours, not fail.  A
+    refusal raised while a suite runs is prefixed with that suite and
+    (d, n), as `evaluate` prefixes its own.
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick one of {('all', *SUITES)}")
@@ -413,8 +416,12 @@ def run_suite(d: int, n: int, suite: str = "all") -> Report:
             f"the {suite} suite at d={d}, n={n} runs {checks} checks, more than the "
             f"letter budget of {words.LETTER_BUDGET}"
         )
-    # each checker is looked up on the module at call time, so a wrapper
-    # installed there (such as a tracer) sees the call
-    return Report(tuple(
-        check for name in names for check in globals()[SUITES[name].__name__](d, n).checks
-    ))
+    results: list[CheckResult] = []
+    for name in names:
+        try:
+            # each checker is looked up on the module at call time, so a
+            # wrapper installed there (such as a tracer) sees the call
+            results += globals()[SUITES[name].__name__](d, n)
+        except BudgetExceededError as exc:
+            raise BudgetExceededError(f"running the {name} suite at d={d}, n={n}: {exc}") from None
+    return Report(results)

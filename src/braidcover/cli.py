@@ -4,7 +4,9 @@ Every printed line is deterministic: generators are ordered by (i, j),
 edges by (level, sheet), checks by generator index.  Exit status is 0 on
 success (all checks passed), 1 on a verification failure or resource
 exhaustion, 2 on a usage error.  Each subcommand is declared once, in
-`_COMMANDS`, and each option's `add_argument` keywords once, in `_OPTIONS`.
+`_COMMANDS`, and each option's `add_argument` keywords once, in `_OPTIONS`;
+one parser (`_build_parser`) gives every subcommand its options, and `main`
+runs the chosen subcommand's action.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ def _print_matrix(matrix, mode: str) -> None:
 
 def _print_report(report: braid.Report, mode: str) -> int:
     """Print every check and return the exit status: 0 iff all passed."""
-    for check in report.checks:
+    for check in report:
         if mode == "structured":
             # names and details hold spaces and '=', so they print as JSON
             # string literals: each line splits with shlex into key=value
@@ -77,7 +79,7 @@ def _print_report(report: braid.Report, mode: str) -> int:
             print(f"PASS {check.name}")
         else:
             print(f"FAIL {check.name}: {check.detail}")
-    failed = sum(1 for c in report.checks if not c.passed)
+    failed = sum(1 for c in report if not c.passed)
     if mode != "structured":
         if failed:
             print(f"FAIL: {failed} of {len(report)} checks failed")
@@ -122,35 +124,25 @@ _COMMANDS = (
 )
 
 
-def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
-    """The parser of `argv`: every subcommand, but only those that `argv`
-    names get their options, or every one when it names none.  argparse
-    reads the options of the chosen subcommand alone, so every help and
-    usage text is the one a parser with all options prints."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, each with its options from `_OPTIONS`."""
     parser = argparse.ArgumentParser(
         prog="braidcover",
         description="Braid group actions on free groups from branched covers of a disk.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    named = {command[0] for command in _COMMANDS}.intersection(argv)
     for name, help_text, options, action in _COMMANDS:
         cmd = sub.add_parser(name, help=help_text)
-        if name in named or not named:
-            for option in (*options.split(), "output-mode"):
-                cmd.add_argument(f"--{option}", **_OPTIONS[option])
+        for option in (*options.split(), "output-mode"):
+            cmd.add_argument(f"--{option}", **_OPTIONS[option])
         cmd.set_defaults(action=action)
     return parser
 
 
-def run(args: argparse.Namespace) -> int:
-    return args.action(args, args.output_mode) or 0
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser(argv).parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return run(args)
+        return args.action(args, args.output_mode) or 0
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -100,27 +100,20 @@ def _edge_code(d: int, n: int, i: int, j: int) -> int:
     return i * d + _wrap(d, j)
 
 
-def _source(d: int, n: int, code: int) -> Vertex:
-    level, sheet = divmod(code - 1, d)
-    return Vertex(level, sheet + 1 if level == 0 else 0)
-
-
-def _target(d: int, n: int, code: int) -> Vertex:
-    level, sheet = divmod(code - 1, d)
-    return Vertex(level + 1, sheet + 1 if level == n else 0)
-
-
 @lru_cache(maxsize=None)
 def _ends(d: int, n: int) -> tuple[tuple[Vertex, Vertex], ...]:
-    """(source, target) of every edge, indexed by edge code - 1.
+    """(source, target) of every edge, indexed by edge code - 1: e[i,j] runs
+    from level i to level i+1, and an end on level 0 or n+1 is the boundary
+    vertex of sheet j, any other the interior vertex.
 
     The vertices are the objects of `vertices(d, n)`, shared across entries.
     """
     check_table_size(d, n, (n + 1) * d)
     canonical = {v: v for v in vertices(d, n)}
     return tuple(
-        (canonical[_source(d, n, code)], canonical[_target(d, n, code)])
-        for code in range(1, (n + 1) * d + 1)
+        (canonical[Vertex(level, sheet if level == 0 else 0)],
+         canonical[Vertex(level + 1, sheet if level == n else 0)])
+        for level in range(n + 1) for sheet in range(1, d + 1)
     )
 
 

@@ -27,13 +27,13 @@ which keeps the shortcut exact.  Every substitution goes through one kernel,
 `_substitute`, with a memo its caller keeps for one table (one composite, or
 one `apply`): each inverted row, the run cancelled where the images of a
 letter pair meet at a long seam, which for a fixed map depends on the
-pair alone, and the images of runs of consecutive codes.
-A run of at least RUN_FROM codes is pushed as one piece, its image a
-prefix image of the runs from its lowest code, extended from the longest
-one kept; the closed forms spell their images from such runs, the prefix
-loops y[i,j] = x[i,1]*...*x[i,j-1] among them, so each prefix loop of a
-row family is pushed through the later map once per composite, not once
-per row.  The public constructors of words and
+pair alone, and, in a composite, the images of runs of consecutive codes.
+A run of at least RUN_FROM codes in a row of the first factor is pushed as
+one piece, its image a prefix image of the runs from its lowest code,
+extended from the longest one kept; the closed forms spell their images
+from such runs, the prefix loops y[i,j] = x[i,1]*...*x[i,j-1] among them,
+so each prefix loop of a row family is pushed through the later map once
+per composite, not once per row.  The public constructors of words and
 automorphisms store codes as tuples and check the parameters and that every
 word or row is a reduced word over the basis, so equal maps have equal
 tables; values derived from validated ones (products, images, composites,
@@ -387,7 +387,7 @@ def _substitute(table, codes: Sequence[int], memo: dict, runs=()) -> tuple[int, 
     c+k or its inverse, that the caller names in `runs` (`_runs`; none by
     default) is pushed as one piece (`_pieces`): a key below every code
     whose image the memo keeps, spliced through the same two regimes as
-    any image.  `_compose_rows` and `apply` name the runs of their rows;
+    any image.  `_compose_rows` names the runs of its rows; `apply` and
     the path substitutions of `groupoid` and `pi1` name none.  Pushed code
     by code, the output inside a run is at most the output before it and
     two prefix images of the run (the outputs of an inverse run are suffix
@@ -615,7 +615,7 @@ def identity_automorphism(d: int, n: int) -> FreeAutomorphism:
 def apply(f: FreeAutomorphism, w: Word) -> Word:
     """Apply f letter by letter; homomorphic by construction."""
     _same_params(f, w)
-    return Word._trusted(f.d, f.n, _substitute(f.table, w.codes, {}, _runs(w.codes)))
+    return Word._trusted(f.d, f.n, _substitute(f.table, w.codes, {}))
 
 
 def compose(f: FreeAutomorphism, g: FreeAutomorphism) -> FreeAutomorphism:

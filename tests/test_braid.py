@@ -593,7 +593,7 @@ def test_matrix_is_multiplicative_and_unimodular(data):
 def test_relation_report_passes_and_is_ordered():
     report = check_braid_relations(3, 4)
     assert report.all_passed
-    assert [c.name for c in report.checks] == [
+    assert [c.name for c in report] == [
         "braid_relation i=1 functor",
         "braid_relation i=1 automorphism",
         "braid_relation i=2 functor",
@@ -612,7 +612,7 @@ def test_dehn_and_lift_and_cross_reports_pass():
 def test_run_suite_all_concatenates_in_order():
     report = run_suite(3, 3, "all")
     assert report.all_passed
-    names = [c.name for c in report.checks]
+    names = [c.name for c in report]
     assert names[0].startswith("braid_relation")
     assert names[-1].startswith("cross_validation")
     assert len(report) == len(run_suite(3, 3, "relations")) + len(
@@ -723,7 +723,7 @@ def test_relation_list_names_sides_in_check_order():
         ("braid_relation i=2", (2, 3, 2), (3, 2, 3)),
         ("far_commutation i=1 k=3", (1, 3), (3, 1)),
     ]
-    names = [c.name for c in check_braid_relations(3, 5).checks]
+    names = [c.name for c in check_braid_relations(3, 5)]
     assert names == [
         "braid_relation i=1 functor", "braid_relation i=1 automorphism",
         "braid_relation i=2 functor", "braid_relation i=2 automorphism",

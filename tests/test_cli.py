@@ -104,7 +104,7 @@ def test_verify_structured_records(capsys):
                            "--suite", "relations", "--output-mode", "structured")
     assert code == 0
     records = _records(out)
-    assert [r["check"] for r in records] == [c.name for c in run_suite(2, 3, "relations").checks]
+    assert [r["check"] for r in records] == [c.name for c in run_suite(2, 3, "relations")]
     assert all(set(r) == {"check", "status"} and r["status"] == "pass" for r in records)
 
 
@@ -162,6 +162,18 @@ def test_a_suite_out_of_reach_exits_one_at_once(capsys):
     assert (code, out) == (1, "")
     assert err == ("error: the relations suite at d=2, n=100000 runs 9999700002 checks, more "
                    "than the letter budget of 1000000\n")
+
+
+def test_a_refusal_inside_a_suite_names_the_suite(capsys, monkeypatch):
+    # the tables are built first, at the full budget, so a budget of 7 (the
+    # suite's 6 checks pass the count) is first met by a product's row
+    assert run_cli(capsys, "verify", "--d", "3", "--n", "4", "--suite", "relations")[0] == 0
+    monkeypatch.setattr(words, "LETTER_BUDGET", 7)
+    assert run_cli(capsys, "verify", "--d", "3", "--n", "4", "--suite", "relations") == (
+        1, "", "error: running the relations suite at d=3, n=4: "
+               "result exceeds the letter budget of 7\n")
+    monkeypatch.setattr(words, "LETTER_BUDGET", 8)
+    assert run_cli(capsys, "verify", "--d", "3", "--n", "4", "--suite", "relations")[0] == 0
 
 
 def test_word_growth_past_the_budget_exits_one(capsys, monkeypatch):
@@ -339,12 +351,18 @@ def test_index_errors_read_the_same_at_both_levels(capsys):
     ("eval", "--d", "3", "--n", "3", "--word", "verify"),
 ])
 def test_the_parser_of_an_argv_reads_it_as_the_parser_with_every_option(argv):
-    # a subcommand that argv does not name is declared without its options
-    lean, full = cli._build_parser(argv), cli._build_parser()
-    assert lean.parse_args(argv) == full.parse_args(argv)
-    (commands,) = (a.choices for a in lean._actions if isinstance(a, argparse._SubParsersAction))
-    assert {name for name, parser in commands.items() if len(parser._actions) > 1} == (
-        set(argv) & set(commands))
+    # one parser, built without argv, reads every argv: the subcommand it
+    # names gets each of its own options, and no other subcommand's
+    args = vars(cli._build_parser().parse_args(argv))
+    assert args.pop("command") == argv[0]
+    assert callable(args.pop("action"))
+    (options,) = (options for name, _, options, _ in cli._COMMANDS if name == argv[0])
+    given = dict(zip(argv[1::2], argv[2::2]))
+    assert args == {
+        option.replace("-", "_"): cli._OPTIONS[option].get("type", str)(given[f"--{option}"])
+        if f"--{option}" in given else cli._OPTIONS[option]["default"]
+        for option in (*options.split(), "output-mode")
+    }
 
 
 def test_suite_choices_come_from_the_suite_registry(capsys):

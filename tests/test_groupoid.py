@@ -45,6 +45,18 @@ def p(d, n, text):
 
 # -- path arithmetic ------------------------------------------------------------
 
+@pytest.mark.parametrize("d,n", [(1, 2), (2, 2), (3, 4)])
+def test_each_edge_runs_from_its_level_to_the_next(d, n):
+    ends = [
+        (left_boundary(j) if i == 0 else interior(i),
+         right_boundary(n, j) if i == n else interior(i + 1))
+        for i in range(n + 1) for j in range(1, d + 1)
+    ]
+    assert list(groupoid._ends(d, n)) == ends
+    assert [groupoid._edge_code(d, n, i, j) for i in range(n + 1)
+            for j in range(1, d + 1)] == list(range(1, len(ends) + 1))
+
+
 def test_path_compose_chains_two_edges():
     got = path_compose(path(3, 2, [(0, 1, 1)]), path(3, 2, [(1, 1, 1)]))
     assert got == p(3, 2, "e[0,1]*e[1,1]")
@@ -106,11 +118,8 @@ def _random_walk(rng, d, n, length, start=None):
         move = rng.choice(forward + backward)
         steps.append(move)
         level, sheet, direction = move
-        at = (
-            groupoid._target(d, n, groupoid._edge_code(d, n, level, sheet))
-            if direction > 0
-            else groupoid._source(d, n, groupoid._edge_code(d, n, level, sheet))
-        )
+        source, target = groupoid._ends(d, n)[groupoid._edge_code(d, n, level, sheet) - 1]
+        at = target if direction > 0 else source
     return start, steps
 
 

@@ -65,8 +65,7 @@ def test_spanning_tree_spans_without_cycles(d, n):
         return v
 
     for code in tree:
-        a = find(groupoid._source(d, n, code))
-        b = find(groupoid._target(d, n, code))
+        a, b = map(find, groupoid._ends(d, n)[code - 1])
         assert a != b, "tree edge closes a cycle"
         parent[a] = b
     assert len({find(v) for v in verts}) == 1
