@@ -403,8 +403,9 @@ def run_suite(d: int, n: int, suite: str = "all") -> Report:
     A run of more checks than the letter budget is refused before any
     table is built: each check composes or translates tables of about
     d*n rows, so past that count the run would take hours, not fail.  A
-    refusal raised while a suite runs is prefixed with that suite and
-    (d, n), as `evaluate` prefixes its own.
+    refusal raised while a suite runs is prefixed with that suite, and
+    with (d, n) unless the refusal already names them, as `evaluate`
+    prefixes its own.
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick one of {('all', *SUITES)}")
@@ -423,5 +424,6 @@ def run_suite(d: int, n: int, suite: str = "all") -> Report:
             # wrapper installed there (such as a tracer) sees the call
             results += globals()[SUITES[name].__name__](d, n)
         except BudgetExceededError as exc:
-            raise BudgetExceededError(f"running the {name} suite at d={d}, n={n}: {exc}") from None
+            at = "" if f"d={d}, n={n}" in str(exc) else f" at d={d}, n={n}"
+            raise BudgetExceededError(f"running the {name} suite{at}: {exc}") from None
     return Report(results)

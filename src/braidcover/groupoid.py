@@ -329,9 +329,8 @@ def _relabel(F: GroupoidFunctor, i: int, sheets: Callable[[int], list[int]]) -> 
     lift moves every row of the band; a composite of such maps has the
     union of its factors' sets, the band again, and its rows name only band
     edges.  Only the band rows are rewritten, and the result is valid by
-    construction.  s keeps the band, so the result shares `_moved(F)`,
-    resolved on its own first use: a table that is only translated, never
-    composed, costs no scan of F."""
+    construction.  s keeps the band, so the result is built with
+    `_moved(F)` itself, scanned at most once per F."""
     d, table = F.d, F.table
     band = range((i - 1) * d + 1, (i + 2) * d + 1)
     s = dict(zip(band, [level * d + k for level in range(i - 1, i + 2) for k in sheets(level)]))
@@ -339,7 +338,8 @@ def _relabel(F: GroupoidFunctor, i: int, sheets: Callable[[int], list[int]]) -> 
     rows = {s[c]: tuple(map(s.__getitem__, table[c - 1])) for c in band}
     band_rows = tuple(map(rows.__getitem__, band))
     return _keep_moved(
-        GroupoidFunctor._trusted(d, F.n, table[:band[0] - 1] + band_rows + table[band[-1]:]), F)
+        GroupoidFunctor._trusted(d, F.n, table[:band[0] - 1] + band_rows + table[band[-1]:]),
+        _moved(F))
 
 
 @lru_cache(maxsize=None)

@@ -22,7 +22,7 @@ each factor pushes only the rows it moves through the product of the later
 ones (`_compose_rows`, shared with functors): the composite starts as g's
 rows, and a row of f that names no row g moves is kept whole.  The rows a
 map moves (`_moved`) are scanned once and kept on the map, outside its
-fields; a composite takes the union of its factors' sets, a superset,
+fields; a composite joins its factors' sets on first use, a superset,
 which keeps the shortcut exact.  Every substitution goes through one kernel,
 `_substitute`, with a memo its caller keeps for one table (one composite, or
 one `apply`): each inverted row, the run cancelled where the images of a
@@ -456,29 +456,25 @@ def _moved(m) -> frozenset[int]:
 
     Scanned once against the identity rows by one C-level pass and kept on
     `m`, outside its fields (`_keep_moved`).  A composite keeps its
-    factors' sets instead, joined on first use, and a table that
-    `groupoid._relabel` derives keeps the table it relabels, whose set it
-    takes on first use: neither is scanned, and a derived table that is
-    never composed never reads a set."""
+    factors' sets instead, joined on first use without a scan: the last
+    product of a fold, such as each side of a verify check, is never
+    joined."""
     moves = getattr(m, "_moves", None)
     if type(moves) is frozenset:
         return moves
     if moves is None:
         codes = tuple(compress(count(1), map(ne, m.table, zip(count(1)))))
         moves = frozenset(chain(codes, map(neg, codes)))
-    elif type(moves) is tuple:
+    else:  # a composite's pair of sets
         first, later = moves
         moves = first if first is later else first | later
-    else:  # a map that moves the same rows
-        moves = _moved(moves)
     _keep_moved(m, moves)
     return moves
 
 
 def _keep_moved(m, moves):
     """`m`, keeping `moves` as what `_moved(m)` reads: a set of signed codes
-    that covers every row `m` moves, a composite's pair of such sets, or
-    another map that moves the same rows, whose set `m` shares."""
+    that covers every row `m` moves, or a composite's pair of such sets."""
     object.__setattr__(m, "_moves", moves)
     return m
 

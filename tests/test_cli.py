@@ -176,6 +176,14 @@ def test_a_refusal_inside_a_suite_names_the_suite(capsys, monkeypatch):
     assert run_cli(capsys, "verify", "--d", "3", "--n", "4", "--suite", "relations")[0] == 0
 
 
+def test_a_refusal_inside_a_suite_names_d_and_n_once(capsys):
+    # the dehn tables at d = 1500 pass the letter budget while their rows
+    # are built, and that refusal already names (d, n)
+    assert run_cli(capsys, "verify", "--d", "1500", "--n", "2", "--suite", "dehn") == (
+        1, "", "error: running the dehn suite: the images for d=1500, n=2 hold more letters "
+               "than the letter budget of 1000000\n")
+
+
 def test_word_growth_past_the_budget_exits_one(capsys, monkeypatch):
     # every table at d = n = 3 holds at most (n+1)d = 12 images, so only the
     # growing words can exceed a budget of 12

@@ -399,6 +399,19 @@ def test_common_suffix_matches_a_letter_by_letter_scan(kind):
                 assert words._common_suffix(list(left), right, start) == expected
 
 
+def test_a_composite_joins_its_factors_moved_rows_on_first_use():
+    # building a composite takes no union, since the last product of a fold
+    # (each side of a verify check) is never read; the first read joins the
+    # factors' sets and keeps the union, and a square keeps its factor's set
+    f = FreeAutomorphism(2, 8, ((-1,), (2, -1), (3,), (4,), (5,), (6,), (7,)))
+    g = FreeAutomorphism(2, 8, ((1,), (2,), (3,), (4,), (5, 6, -5), (6,), (7,)))
+    h = words._compose_rows(f, g)
+    assert h._moves == (words._moved(f), words._moved(g))
+    assert words._moved(h) == {1, -1, 2, -2, 5, -5}
+    assert words._moved(h) is h._moves
+    assert words._moved(words._compose_rows(f, f)) is words._moved(f)
+
+
 def test_compose_rows_scans_each_long_seam_pair_once(monkeypatch):
     # the pair (1, 2) meets at a long seam in three rows, after different
     # left contexts; its run of 150 letters stops inside image(1), so only
