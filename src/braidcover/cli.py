@@ -5,8 +5,10 @@ edges by (level, sheet), checks by generator index.  Exit status is 0 on
 success (all checks passed), 1 on a verification failure or resource
 exhaustion, 2 on a usage error.  Each subcommand is declared once, in
 `_COMMANDS`, and each option's `add_argument` keywords once, in `_OPTIONS`;
-one parser (`_build_parser`) gives every subcommand its options, and `main`
-runs the chosen subcommand's action.
+one helper (`_add_options`) gives a command's parser its options.  `main`
+reads an argv that names a command with that command's parser alone, and
+any other argv, or one with arguments left over, with the parser of every
+subcommand (`_build_parser`), then runs the chosen subcommand's action.
 """
 
 from __future__ import annotations
@@ -124,6 +126,13 @@ _COMMANDS = (
 )
 
 
+def _add_options(parser: argparse.ArgumentParser, options: str, action) -> None:
+    """Give one command's parser its options from `_OPTIONS` and its action."""
+    for option in (*options.split(), "output-mode"):
+        parser.add_argument(f"--{option}", **_OPTIONS[option])
+    parser.set_defaults(action=action)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, each with its options from `_OPTIONS`."""
     parser = argparse.ArgumentParser(
@@ -132,15 +141,38 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, options, action in _COMMANDS:
-        cmd = sub.add_parser(name, help=help_text)
-        for option in (*options.split(), "output-mode"):
-            cmd.add_argument(f"--{option}", **_OPTIONS[option])
-        cmd.set_defaults(action=action)
+        _add_options(sub.add_parser(name, help=help_text), options, action)
     return parser
 
 
+def _command_parser(name: str, options: str, action) -> argparse.ArgumentParser:
+    """The parser of one command alone, built as `_build_parser` builds that
+    command's subparser: the same prog, options and action."""
+    parser = argparse.ArgumentParser(prog=f"braidcover {name}")
+    _add_options(parser, options, action)
+    return parser
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """argv read by the parser of the command it names alone.
+
+    That parser (`_command_parser`) reads as the full parser's subparser of
+    the command: its help, usage and errors are the same, and the other
+    commands' parsers are never built.  An argv that names no command, or
+    leaves arguments over, is read again by the full parser, which prints
+    its top-level help or error.
+    """
+    for name, _, options, action in _COMMANDS:
+        if argv and argv[0] == name:
+            args, rest = _command_parser(name, options, action).parse_known_args(argv[1:])
+            if not rest:
+                return args
+            break
+    return _build_parser().parse_args(argv)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.action(args, args.output_mode) or 0
     except BudgetExceededError as exc:

@@ -12,8 +12,8 @@ A letter has one stored spelling, a signed integer code: x[i,j] has code
 outside as (i, j, sign) triples (`reduce`) or as text (`parse_word`), and
 read back as codes or text (`format_word`).  Text has one token rule
 (`_Spelling`); a word longer than the rank is gathered in one C-level call
-from a cached list of every token (`_tokens`), indexed by code, which is
-safe because a word holds basis codes only.  An automorphism is stored only
+from a cached list of every token and its `*` (`_tokens`), indexed by
+code, safe as a word holds basis codes only.  An automorphism is stored only
 as its substitution table, the image codes of every basis generator;
 `apply`, `compose`, `abelianize` and `==` read that table, and the Word
 views (`images`, `image(i, j)`) are built on demand.  `compose(f, g)`
@@ -609,9 +609,15 @@ def identity_automorphism(d: int, n: int) -> FreeAutomorphism:
 
 
 def apply(f: FreeAutomorphism, w: Word) -> Word:
-    """Apply f letter by letter; homomorphic by construction."""
+    """Apply f letter by letter; homomorphic by construction.  A result
+    refused by the letter budget names the word's length and (d, n)."""
     _same_params(f, w)
-    return Word._trusted(f.d, f.n, _substitute(f.table, w.codes, {}))
+    try:
+        return Word._trusted(f.d, f.n, _substitute(f.table, w.codes, {}))
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(
+            f"applying an automorphism to a word of {len(w)} letters at d={f.d}, n={f.n}: {exc}"
+        ) from None
 
 
 def compose(f: FreeAutomorphism, g: FreeAutomorphism) -> FreeAutomorphism:
@@ -670,10 +676,11 @@ class _Spelling(dict):
 
 @lru_cache(maxsize=1)
 def _tokens(prefix: str, span: int, first: int, size: int) -> list[str]:
-    """The `_Spelling` token of every code c in -size..size at index c: a
-    negative index counts from the end, so index -c holds c's inverse."""
+    """The `_Spelling` token of every code c in -size..size, followed by `*`,
+    at index c: a negative index counts from the end, so index -c holds
+    c's inverse."""
     spell = _Spelling(prefix, span, first)
-    return [spell[c] for c in chain(range(size + 1), range(-size, 0))]
+    return [spell[c] + "*" for c in chain(range(size + 1), range(-size, 0))]
 
 
 def _format_codes(codes: tuple[int, ...], prefix: str, span: int, first: int,
@@ -681,14 +688,15 @@ def _format_codes(codes: tuple[int, ...], prefix: str, span: int, first: int,
     """Spell nonzero codes in -size..size as `_Spelling` tokens joined by `*`.
 
     A sequence longer than `size` is gathered from the token table in one
-    C-level call; a shorter one spells only its own tokens, so the table,
-    2*size + 1 tokens, is never built for a text much shorter than itself.
-    Indexing the table with a code outside -size..size would read another
-    code's token, which is why words and paths check their codes when
-    they are built.
+    C-level call and joined with no separator, since each token carries its
+    `*`, and the last `*` is cut; a shorter one spells only its own tokens,
+    so the table, 2*size + 1 tokens, is never built for a text much shorter
+    than itself.  Indexing the table with a code outside -size..size would
+    read another code's token, which is why words and paths check their
+    codes when they are built.
     """
     if len(codes) > size:
-        return "*".join(itemgetter(*codes)(_tokens(prefix, span, first, size)))
+        return "".join(itemgetter(*codes)(_tokens(prefix, span, first, size)))[:-1]
     return "*".join(map(_Spelling(prefix, span, first).__getitem__, codes))
 
 

@@ -359,10 +359,13 @@ def test_index_errors_read_the_same_at_both_levels(capsys):
     ("eval", "--d", "3", "--n", "3", "--word", "verify"),
 ])
 def test_the_parser_of_an_argv_reads_it_as_the_parser_with_every_option(argv):
-    # one parser, built without argv, reads every argv: the subcommand it
-    # names gets each of its own options, and no other subcommand's
+    # the parser of every subcommand reads every argv: the subcommand it
+    # names gets each of its own options, and no other subcommand's; the
+    # parser of that command alone reads it to the same namespace, which
+    # names no command since only the full parser chooses one
     args = vars(cli._build_parser().parse_args(argv))
     assert args.pop("command") == argv[0]
+    assert vars(cli._parse(argv)) == args
     assert callable(args.pop("action"))
     (options,) = (options for name, _, options, _ in cli._COMMANDS if name == argv[0])
     given = dict(zip(argv[1::2], argv[2::2]))
@@ -371,6 +374,17 @@ def test_the_parser_of_an_argv_reads_it_as_the_parser_with_every_option(argv):
         if f"--{option}" in given else cli._OPTIONS[option]["default"]
         for option in (*options.split(), "output-mode")
     }
+
+
+@pytest.mark.parametrize("command", cli._COMMANDS, ids=[c[0] for c in cli._COMMANDS])
+def test_the_parser_of_one_command_reads_as_its_subparser(monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    name, _, options, action = command
+    (sub,) = (a for a in cli._build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction))
+    alone, full = cli._command_parser(name, options, action), sub.choices[name]
+    assert alone.format_help() == full.format_help()
+    assert alone.format_usage() == full.format_usage()
 
 
 def test_suite_choices_come_from_the_suite_registry(capsys):
@@ -453,6 +467,13 @@ GOLDEN_USAGE = [
      ("55ad1fcd3ac34459eb5a7f5fb6a1f333a477eec8", "6fb87ea9734ea9aaf42f55231cca40f262abc0cd")),
     ("unknown-command", ("spectacle",),
      ("3b6818db110d1f5754869dcb3be32c42f0ce1ab3", "6e586039f8d4d26a71cedb4b8b69fb7722a5576b")),
+    # pinned while one parser read every argv: arguments left over by the
+    # named command's parser, and help before any command, read as then
+    ("extra-argument", ("eval", "--d", "3", "--n", "3", "--word", "1", "extra"),
+     "6bc9a51e27bb59329ced7f90a68e4e237800f501"),
+    ("unknown-option", ("surface", "--d", "4", "--n", "3", "--bogus", "1"),
+     "05a52b783c81ddd8b2fe0bb2a3ed1f7fa2bef10f"),
+    ("help-then-command", ("--help", "eval"), "dd4efdf017803731481f401c43a25a7789ef6c71"),
 ]
 
 

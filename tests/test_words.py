@@ -846,6 +846,18 @@ def test_letter_budget_guard(monkeypatch):
         apply(f, Word(3, 2, (2,) * 8))
 
 
+def test_apply_names_the_words_length_and_d_and_n_in_its_refusal(monkeypatch):
+    # x[1,2] -> x[1,2]*x[1,1], so eight letters x[1,2] have 16 letters of image
+    monkeypatch.setattr(words, "LETTER_BUDGET", 8)
+    f = braid.half_twist_action(3, 2, 1)
+    with pytest.raises(BudgetExceededError, match=r"^applying an automorphism to a word of 8 "
+                                                  r"letters at d=3, n=2: result exceeds the "
+                                                  r"letter budget of 8$"):
+        apply(f, Word(3, 2, (2,) * 8))
+    monkeypatch.setattr(words, "LETTER_BUDGET", 16)
+    assert len(apply(f, Word(3, 2, (2,) * 8))) == 16
+
+
 def test_image_lookup_rejects_out_of_basis_symbols():
     f = identity_automorphism(3, 3)
     with pytest.raises(ValueError):
