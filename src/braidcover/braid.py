@@ -16,10 +16,10 @@ of consecutive codes (`_run`) and share the identity automorphism's rows.
 A product of distinct maps -- a braid word's root, each side of a braid
 relation at the functor and the automorphism level -- is built by one
 right fold, `_product`; the first factor still acts first.  A product of
-one map's translates is built by left-to-right doubling, `_power`: a braid
-word that is a proper power u^k raises the product of its root u to the
-k-th power, and the d-1 Dehn twists of a factorization, each the deck
-shift of the one before, double along the deck orbit.
+one map's translates is built by halving, `_power`: a braid word that is
+a proper power u^k raises the product of its root u to the k-th power,
+and the d-1 Dehn twists of a factorization, each the deck shift of the
+one before, halve along the deck orbit.
 The inverse generator comes from the inverse lift on the groupoid side,
 the lift conjugated by a reflection of the sheets, so no general
 automorphism inversion is ever needed.
@@ -198,19 +198,22 @@ def _power(compose, first, k, shift=lambda f, m: f):
 
     `compose(f, g)` applies f first.  `shift(f, m)` must respect
     composition and add up, shift(shift(f, a), b) = shift(f, a + b).  Then
-    the product R(m) of F_0, ..., F_{m-1} doubles as R(2m) = shift(R(m), m)
-    then R(m), and grows as R(m + 1) = shift(first, m) then R(m).  Reading
-    the bits of k from the left, that is floor(log2 k) + popcount(k) - 1
-    compositions, each pushing the rows of the shifted factor through the
-    product so far.  The letter budget bounds every row built on the way,
-    so a power near the budget is refused or not according to the products
-    the doubling builds.
+    the product R(k) of F_0, ..., F_{k-1} halves: with m = floor(k/2),
+    R(k) = shift(R(m), k - m) then R(k - m), where R(k - m) is R(m) itself
+    for even k and shift(first, m) then R(m) for odd k.  Reading the bits
+    of k from the left, that is floor(log2 k) + popcount(k) - 1
+    compositions, each pushing the rows of a shifted factor through a
+    product of at most ceil(k/2) factors.  Square-and-multiply makes as
+    many, but its last multiply of an odd power pushes `first` through
+    R(k - 1), inverting each of that power's long rows it meets.  The
+    letter budget bounds every row built on the way, so a power near the
+    budget is refused or not according to the products the halving builds.
     """
     run, m = first, 1
     for bit in bin(k)[3:]:  # the bits of k after the leading one
-        run, m = compose(shift(run, m), run), 2 * m
-        if bit == "1":
-            run, m = compose(shift(first, m), run), m + 1
+        odd = bit == "1"
+        rest = compose(shift(first, m), run) if odd else run  # R(m + odd)
+        run, m = compose(shift(run, m + odd), rest), 2 * m + odd
     return run
 
 
@@ -232,13 +235,14 @@ def evaluate(w: BraidWord) -> FreeAutomorphism:
 
     The word is read as u^k with u its shortest root.  The letters of u are
     folded once from the right, and that product is raised to the k-th
-    power by `_power`'s left-to-right square-and-multiply, each multiply
-    step pushing u's short rows through the power so far.  The fold
-    rebuilds nearly every row at every letter, while the powers the
-    squaring builds are about square roots of the result.  The letter
+    power by `_power`'s halving: the last composition pushes u^floor(k/2)
+    through u^ceil(k/2), and u's short rows are only ever pushed through a
+    power no longer than u^floor(k/2).  The fold rebuilds nearly every row
+    at every letter, while the powers the halving builds are about square
+    roots of the result.  The letter
     budget bounds every row built on the way, so a proper power near the
     budget is refused or not according to the suffix products of u and the
-    powers the squaring builds, not the word's own suffix products.
+    powers the halving builds, not the word's own suffix products.
 
     A product refused by the letter budget names the word's length and
     (d, n); a generator table refused by size already names (d, n).
@@ -261,9 +265,10 @@ def dehn_twist_product(d: int, n: int, i: int) -> FreeAutomorphism:
 
     Composed as mapping classes (rightmost twist acts first); the result
     equals half_twist_action(d, n, i).  The twist D_{j+m} is the deck shift
-    S^m D_j S^-m of D_j, so the product T(m) = D_2 * ... * D_{m+1} doubles
-    as T(2m) = T(m) * S^m T(m) S^-m and grows as T(m+1) = T(m) * D_{m+2}:
-    `_power` over `groupoid._deck_shift` builds T(d-1) from D_2 alone in
+    S^m D_j S^-m of D_j, so the product T(k) = D_2 * ... * D_{k+1} halves:
+    with m = floor(k/2), T(k) = T(k-m) * S^(k-m) T(m) S^-(k-m), where
+    T(k-m) is T(m) for even k and T(m) * D_{m+2} for odd k.  `_power` over
+    `groupoid._deck_shift` builds T(d-1) from D_2 alone in
     floor(log2(d-1)) + popcount(d-1) - 1 compositions, and no twist outside
     sheets 2..d is built.
     """

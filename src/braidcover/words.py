@@ -191,7 +191,8 @@ def _reduce_onto(out: list[int], codes: Iterable[int]) -> tuple[int, ...]:
     """Append codes to the freely reduced list `out`, cancelling at the junction.
 
     One of the two reduction kernels of the package (with `_substitute`);
-    group words and groupoid paths alike are reduced here.
+    group words and groupoid paths alike are reduced here.  A result past
+    the letter budget is refused, naming its length.
     """
     for c in codes:
         if out and out[-1] == -c:
@@ -199,7 +200,8 @@ def _reduce_onto(out: list[int], codes: Iterable[int]) -> tuple[int, ...]:
         else:
             out.append(c)
     if len(out) > LETTER_BUDGET:
-        raise BudgetExceededError(f"result exceeds the letter budget of {LETTER_BUDGET}")
+        raise BudgetExceededError(
+            f"result reached {len(out)} letters, more than the letter budget of {LETTER_BUDGET}")
     return tuple(out)
 
 
@@ -397,7 +399,8 @@ def _substitute(table, codes: Sequence[int], memo: dict, runs=()) -> tuple[int, 
     So a sequence with pieces is held to the budget less three times the
     longest prefix image built, and one past that lowered budget is pushed
     again code by code under the budget itself: every result and every
-    refusal, message included, is the one pushing every code gives.
+    refusal, message and the size it names included, is the one pushing
+    every code gives.
     """
     budget = LETTER_BUDGET
     if runs:
@@ -444,7 +447,8 @@ def _substitute(table, codes: Sequence[int], memo: dict, runs=()) -> tuple[int, 
             if runs and codes is not whole:
                 # past the lowered budget: push every code on its own
                 return _substitute(table, whole, memo)
-            raise BudgetExceededError(f"result exceeds the letter budget of {budget}")
+            raise BudgetExceededError(
+                f"result reached {len(out)} letters, more than the letter budget of {budget}")
     return tuple(out)
 
 

@@ -242,8 +242,10 @@ def test_evaluating_a_power_equals_the_letter_fold(data, k):
 @pytest.mark.parametrize("k", range(1, 14))
 def test_a_power_folds_its_root_once_then_squares(monkeypatch, root, d, n, k):
     # the root is folded with the identity appended, |u| compositions; then
-    # each bit of k after the leading one squares, and a set bit multiplies
-    # by the root's product, which is passed first
+    # each bit of k after the leading one takes R(m) to R(2m) or R(2m + 1):
+    # a set bit first composes the root's product, passed first, with R(m)
+    # into R(m + 1); then R(m), passed first, is composed with R(m) or
+    # R(m + 1), so the last composition takes R(floor(k/2)) first
     calls = []
 
     def noted(f, g, compose=words.compose):
@@ -256,13 +258,14 @@ def test_a_power_folds_its_root_once_then_squares(monkeypatch, root, d, n, k):
     root_product = power = calls[len(root) - 1][2]
     steps = iter(calls[len(root):])
     for bit in bin(k)[3:]:
-        f, g, power_next = next(steps)
-        assert f is g is power
-        power = power_next
+        rest = power
         if bit == "1":
-            f, g, power_next = next(steps)
+            f, g, rest = next(steps)
             assert f is root_product and g is power
-            power = power_next
+        f, g, power_next = next(steps)
+        assert f is power and g is rest
+        power = power_next
+    assert next(steps, None) is None
     assert got is power
     assert got.table == _right_fold(d, n, root * k).table
 
@@ -329,7 +332,8 @@ def test_composites_match_the_fold_that_pushes_every_row(case):
 def test_a_long_power_composes_like_the_fold_that_pushes_every_row(monkeypatch):
     # eval-long's golden ladder: the root's last letter keeps its rows whole
     # against the identity, and each squaring composes a power with itself,
-    # whose moved set is the join of one set with itself
+    # whose moved set is the join of one set with itself; R(5) composes R(2)
+    # with R(3), whose moved set joins the root's with R(2)'s
     monkeypatch.setattr(words, "compose", _checked(words.compose))
     assert sum(map(len, evaluate(BraidWord(3, 3, (1, -2) * 10)).table)) == 140_618
 
@@ -499,10 +503,14 @@ def test_a_power_by_doubling_is_the_fold_of_its_copies(data, k):
 def test_a_power_puts_the_last_translate_first():
     # runs of integers, composed by concatenation in the order they act and
     # shifted by adding: the product of the k translates of (0,) lists
-    # F_{k-1} first and F_0 last, as the twist product lists D_d first
+    # F_{k-1} first and F_0 last, as the twist product lists D_d first, in
+    # floor(log2 k) + popcount(k) - 1 compositions
     for k in range(1, 65):
-        run = braid._power(lambda f, g: f + g, (0,), k, lambda f, m: tuple(t + m for t in f))
+        calls = []
+        run = braid._power(lambda f, g: calls.append(1) or f + g, (0,), k,
+                           lambda f, m: tuple(t + m for t in f))
         assert run == tuple(range(k - 1, -1, -1)), k
+        assert len(calls) == k.bit_length() - 1 + bin(k).count("1") - 1, k
 
 
 def test_twist_product_fixes_far_generators():

@@ -171,7 +171,7 @@ def test_a_refusal_inside_a_suite_names_the_suite(capsys, monkeypatch):
     monkeypatch.setattr(words, "LETTER_BUDGET", 7)
     assert run_cli(capsys, "verify", "--d", "3", "--n", "4", "--suite", "relations") == (
         1, "", "error: running the relations suite at d=3, n=4: "
-               "result exceeds the letter budget of 7\n")
+               "result reached 8 letters, more than the letter budget of 7\n")
     monkeypatch.setattr(words, "LETTER_BUDGET", 8)
     assert run_cli(capsys, "verify", "--d", "3", "--n", "4", "--suite", "relations")[0] == 0
 
@@ -190,14 +190,14 @@ def test_word_growth_past_the_budget_exits_one(capsys, monkeypatch):
     monkeypatch.setattr(words, "LETTER_BUDGET", 12)
     code, out, err = run_cli(capsys, "eval", "--d", "3", "--n", "3", "--word", "1 -2 " * 10)
     assert (code, out) == (1, "")
-    assert "result exceeds the letter budget of 12" in err
-    assert err.startswith("error: evaluating a braid word of 20 letters at d=3, n=3: ")
+    assert err == ("error: evaluating a braid word of 20 letters at d=3, n=3: "
+                   "result reached 15 letters, more than the letter budget of 12\n")
     # rank 4 at d = n = 3: a budget of 16 lets the 16-entry matrix through
     monkeypatch.setattr(words, "LETTER_BUDGET", 16)
     code, out, err = run_cli(capsys, "matrix", "--d", "3", "--n", "3", "--word", "1 -2 " * 10)
     assert (code, out) == (1, "")
     assert err == ("error: evaluating a braid word of 20 letters at d=3, n=3: "
-                   "result exceeds the letter budget of 16\n")
+                   "result reached 19 letters, more than the letter budget of 16\n")
 
 
 def test_refusal_near_the_budget_follows_the_suffix_products(capsys, monkeypatch):
@@ -217,9 +217,8 @@ def test_refusal_near_the_budget_follows_the_suffix_products(capsys, monkeypatch
         assert got == code, word
         w = braid.BraidWord(3, 3, tuple(int(t) for t in word.split()))
         if code:
-            assert f"result exceeds the letter budget of {budget}" in err
-            prefix = f"error: evaluating a braid word of {len(w)} letters at d=3, n=3: "
-            assert err.startswith(prefix)
+            assert err == (f"error: evaluating a braid word of {len(w)} letters at d=3, n=3: "
+                           f"result reached 25 letters, more than the letter budget of {budget}\n")
             left_fold(w)
         else:
             assert err == ""
@@ -228,18 +227,20 @@ def test_refusal_near_the_budget_follows_the_suffix_products(capsys, monkeypatch
 
 
 def test_refusal_near_the_budget_follows_the_squarings(capsys, monkeypatch):
-    # Both words are proper powers (1 2)^k.  `evaluate` folds the root once
-    # and squares, so the products it builds on the way are powers of
-    # (1 2), and whether a power near the budget is refused depends on
-    # them; folding every letter from the right builds the word's suffix
-    # products and decides each word the other way.
+    # Each word is a proper power (1 2)^k.  `evaluate` folds the root once
+    # and halves, so the products it builds on the way are powers of (1 2),
+    # and whether a power near the budget is refused depends on them;
+    # folding every letter from the right builds the word's suffix products
+    # and decides each word the other way.  (1 2)^5 at 13 tells halving,
+    # which builds R(5) from R(2) and R(3), from square-and-multiply, which
+    # builds it from R(4) and refuses it.
     def suffix_fold(w):
         product = words.identity_automorphism(w.d, w.n)
         for letter in reversed(w.letters):
             product = words.compose(braid.generator_action(w.d, w.n, letter), product)
         return product
 
-    for k, budget, code in ((3, 10, 0), (5, 14, 1)):
+    for k, budget, code in ((3, 10, 0), (4, 13, 1), (5, 13, 0)):
         monkeypatch.setattr(words, "LETTER_BUDGET", budget)
         word = " ".join(["1 2"] * k)
         got, _, err = run_cli(capsys, "eval", "--d", "3", "--n", "3", "--word", word)
@@ -247,7 +248,7 @@ def test_refusal_near_the_budget_follows_the_squarings(capsys, monkeypatch):
         w = braid.BraidWord(3, 3, (1, 2) * k)
         if code:
             assert err == (f"error: evaluating a braid word of {2 * k} letters at d=3, n=3: "
-                           f"result exceeds the letter budget of {budget}\n")
+                           f"result reached 15 letters, more than the letter budget of {budget}\n")
             suffix_fold(w)
         else:
             assert err == ""

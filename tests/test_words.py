@@ -164,7 +164,8 @@ def _substitute_letter_by_letter(table, codes, budget):
             else:
                 out.append(t)
         if len(out) > budget:
-            raise BudgetExceededError(f"{len(out)} letters")
+            raise BudgetExceededError(
+                f"result reached {len(out)} letters, more than the letter budget of {budget}")
     return tuple(out)
 
 
@@ -224,8 +225,8 @@ def test_substitute_matches_the_letter_by_letter_reference(case, budget):
     with mock.patch.object(words, "LETTER_BUDGET", budget):
         try:
             _substitute_letter_by_letter(table, codes, budget)
-        except BudgetExceededError:
-            with pytest.raises(BudgetExceededError):
+        except BudgetExceededError as exc:
+            with pytest.raises(BudgetExceededError, match=f"^{exc}$"):
                 words._substitute(table, codes, {})
         else:
             assert words._substitute(table, codes, {}) == expected
@@ -580,9 +581,9 @@ def test_substitute_takes_runs_as_pieces_like_the_letter_by_letter_reference(cas
     with mock.patch.object(words, "LETTER_BUDGET", budget):
         try:
             _substitute_letter_by_letter(table, codes, budget)
-        except BudgetExceededError:
-            with pytest.raises(BudgetExceededError, match=f"^result exceeds the letter budget "
-                                                          f"of {budget}$"):
+        except BudgetExceededError as exc:
+            # the same message, naming the size the plain loop reached
+            with pytest.raises(BudgetExceededError, match=f"^{exc}$"):
                 words._substitute(table, codes, {}, words._runs(codes))
         else:
             assert words._substitute(table, codes, {}, words._runs(codes)) == expected
@@ -627,7 +628,8 @@ def test_a_run_past_the_lowered_budget_is_pushed_code_by_code_and_refused_as_wit
     monkeypatch.setattr(words, "LETTER_BUDGET", 60)
     with pytest.raises(BudgetExceededError):
         _substitute_letter_by_letter(table, codes, 60)
-    with pytest.raises(BudgetExceededError, match="^result exceeds the letter budget of 60$"):
+    with pytest.raises(BudgetExceededError,
+                       match="^result reached 61 letters, more than the letter budget of 60$"):
         words._substitute(table, codes, {}, words._runs(codes))
     monkeypatch.setattr(words, "LETTER_BUDGET", 61)
     assert words._substitute(table, codes, {}, words._runs(codes)) == (7, 7)
@@ -641,8 +643,8 @@ def test_a_run_whose_images_do_not_telescope_is_refused_with_the_same_message(mo
     for budget, refused in ((79, True), (80, False)):
         monkeypatch.setattr(words, "LETTER_BUDGET", budget)
         if refused:
-            with pytest.raises(BudgetExceededError,
-                               match=f"^result exceeds the letter budget of {budget}$"):
+            with pytest.raises(BudgetExceededError, match=f"^result reached 80 letters, more "
+                                                          f"than the letter budget of {budget}$"):
                 words._substitute(table, codes, {}, words._runs(codes))
         else:
             assert words._substitute(table, codes, {}, words._runs(codes)) == tuple(range(11, 91))
@@ -839,7 +841,8 @@ def test_a_bounded_table_adds_a_range_of_identity_rows_in_one_step(monkeypatch):
 
 def test_letter_budget_guard(monkeypatch):
     monkeypatch.setattr(words, "LETTER_BUDGET", 8)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError,
+                       match="^result reached 9 letters, more than the letter budget of 8$"):
         reduce(3, 2, [(1, 1, 1)] * 9)
     f = braid.half_twist_action(3, 2, 1)
     with pytest.raises(BudgetExceededError):
@@ -847,12 +850,14 @@ def test_letter_budget_guard(monkeypatch):
 
 
 def test_apply_names_the_words_length_and_d_and_n_in_its_refusal(monkeypatch):
-    # x[1,2] -> x[1,2]*x[1,1], so eight letters x[1,2] have 16 letters of image
+    # x[1,2] -> x[1,2]*x[1,1], so eight letters x[1,2] have 16 letters of image,
+    # and the fifth of them takes the result past 8
     monkeypatch.setattr(words, "LETTER_BUDGET", 8)
     f = braid.half_twist_action(3, 2, 1)
     with pytest.raises(BudgetExceededError, match=r"^applying an automorphism to a word of 8 "
-                                                  r"letters at d=3, n=2: result exceeds the "
-                                                  r"letter budget of 8$"):
+                                                  r"letters at d=3, n=2: result reached 10 "
+                                                  r"letters, more than the letter budget of "
+                                                  r"8$"):
         apply(f, Word(3, 2, (2,) * 8))
     monkeypatch.setattr(words, "LETTER_BUDGET", 16)
     assert len(apply(f, Word(3, 2, (2,) * 8))) == 16
