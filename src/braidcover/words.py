@@ -112,19 +112,19 @@ def bounded_table(d: int, n: int, rows: Iterable[tuple[int, ...] | range]
     budget, so the work done before a refusal is O(budget).  A range of
     codes among them stands for the identity automorphism's rows of those
     codes, the same row objects: its letters, one per row, are added in
-    one step."""
+    one step, and an empty one builds nothing, not even the identity."""
     table, letters = [], 0
     for row in rows:
         letters += len(row)
         if letters > LETTER_BUDGET:
             raise BudgetExceededError(
-                f"the images for d={d}, n={n} hold more letters than the letter budget "
-                f"of {LETTER_BUDGET}"
+                f"the images for d={d}, n={n} reached {letters} letters, more than the "
+                f"letter budget of {LETTER_BUDGET}"
             )
-        if type(row) is range:
-            table.extend(identity_automorphism(d, n).table[row.start - 1:row.stop - 1])
-        else:
+        if type(row) is not range:
             table.append(row)
+        elif row:
+            table.extend(identity_automorphism(d, n).table[row.start - 1:row.stop - 1])
     return tuple(table)
 
 
@@ -291,9 +291,8 @@ def _pieces(table, codes: Sequence[int], memo: dict, runs) -> Sequence[int]:
     `memo` keeps the piece's image: the inverse of one is its partner's.
     The image of c..c+k is the prefix image of length k+1 of the runs from
     c, which `memo[c]` keeps by length: a longer one extends the longest
-    kept, one image at a time, its long seams cancelled as `_substitute`
-    cancels them, so each prefix image of a row family is built once per
-    table.  `memo[0]`
+    kept, one image at a time, each seam cancelled letter by letter, so
+    each prefix image of a row family is built once per table.  `memo[0]`
     holds the letters kept in prefix and piece images, and the length of
     the longest prefix image met while building them, which bounds the
     outputs `_substitute` checks; no image is built once the letters
@@ -319,14 +318,11 @@ def _pieces(table, codes: Sequence[int], memo: dict, runs) -> Sequence[int]:
             img = prefixes[kept]
             if kept < length:
                 p, widest = list(img), book[1]
-                for c, img in enumerate(table[low + kept - 1:low + length - 1], low + kept):
+                for img in table[low + kept - 1:low + length - 1]:
                     if p and img and p[-1] == -img[0]:
-                        if len(img) > SCAN_FROM:
-                            k = _common_suffix(p, _inverse(table, c, img, memo), 1)
-                        else:
-                            k, m = 1, min(len(p), len(img))
-                            while k < m and p[-1 - k] == -img[k]:
-                                k += 1
+                        k, m = 1, min(len(p), len(img))
+                        while k < m and p[-1 - k] == -img[k]:
+                            k += 1
                         del p[len(p) - k:]
                         p.extend(img[k:])
                     else:

@@ -773,8 +773,9 @@ def test_generator_tables_are_bounded_by_their_letters(monkeypatch, build):
         cached.cache_clear()
     try:
         monkeypatch.setattr(words, "LETTER_BUDGET", 84)
-        with pytest.raises(BudgetExceededError, match="the images for d=6, n=4 hold more "
-                                                       "letters than the letter budget of 84"):
+        with pytest.raises(BudgetExceededError, match="^the images for d=6, n=4 reached 85 "
+                                                       "letters, more than the letter budget "
+                                                       "of 84$"):
             build(6, 4, 2)
         monkeypatch.setattr(words, "LETTER_BUDGET", 85)
         assert sum(map(len, build(6, 4, 2).table)) == 85
@@ -835,8 +836,23 @@ def test_the_budget_counts_the_identity_rows_outside_the_band(monkeypatch, build
     letters, band_letters = sum(map(len, table)), sum(map(len, band))
     assert letters - band_letters == 15
     monkeypatch.setattr(words, "LETTER_BUDGET", band_letters)
-    with pytest.raises(BudgetExceededError, match=f"^the images for d=6, n=7 hold more letters "
-                                                  f"than the letter budget of {band_letters}$"):
+    with pytest.raises(BudgetExceededError, match=f"^the images for d=6, n=7 reached 90 letters, "
+                                                  f"more than the letter budget of {band_letters}$"):
         build(d, n, i)
     monkeypatch.setattr(words, "LETTER_BUDGET", letters)
     assert build(d, n, i).table == table
+
+
+@pytest.mark.parametrize("build,reference", [
+    (half_twist_action.__wrapped__, reference.closed_form_by_letters),
+    (conjugate_twist_action, reference.conjugate_form_by_letters),
+], ids=["closed", "conjugate"])
+def test_a_closed_form_at_n_2_builds_no_identity_table(build, reference):
+    # at n = 2 rows i-1..i+1 cover the whole basis, so both ranges of
+    # identity rows are empty and the identity automorphism is never built
+    identity_automorphism.cache_clear()
+    try:
+        assert build(7, 2, 1).table == reference(7, 2, 1)
+        assert identity_automorphism.cache_info().misses == 0
+    finally:
+        identity_automorphism.cache_clear()

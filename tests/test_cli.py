@@ -180,8 +180,8 @@ def test_a_refusal_inside_a_suite_names_d_and_n_once(capsys):
     # the dehn tables at d = 1500 pass the letter budget while their rows
     # are built, and that refusal already names (d, n)
     assert run_cli(capsys, "verify", "--d", "1500", "--n", "2", "--suite", "dehn") == (
-        1, "", "error: running the dehn suite: the images for d=1500, n=2 hold more letters "
-               "than the letter budget of 1000000\n")
+        1, "", "error: running the dehn suite: the images for d=1500, n=2 reached 1002001 "
+               "letters, more than the letter budget of 1000000\n")
 
 
 def test_word_growth_past_the_budget_exits_one(capsys, monkeypatch):
@@ -274,7 +274,8 @@ def test_oversized_tables_exit_one_before_allocation(capsys, monkeypatch):
     # the 48 generator images pass the row count, but hold 109 letters
     code, out, err = run_cli(capsys, "aut", "--d", "7", "--n", "9", "--i", "1")
     assert (code, out) == (1, "")
-    assert "the images for d=7, n=9 hold more letters than the letter budget of 48" in err
+    assert err == ("error: the images for d=7, n=9 reached 51 letters, more than the letter "
+                   "budget of 48\n")
     assert run_cli(capsys, "lift", "--d", "7", "--n", "9", "--i", "1")[0] == 1
     monkeypatch.setattr(words, "LETTER_BUDGET", 70)
     assert run_cli(capsys, "lift", "--d", "7", "--n", "9", "--i", "1")[0] == 0

@@ -834,8 +834,8 @@ def test_a_bounded_table_adds_a_range_of_identity_rows_in_one_step(monkeypatch):
         raise AssertionError("a row was built after the refusal")
 
     monkeypatch.setattr(words, "LETTER_BUDGET", 8)
-    with pytest.raises(BudgetExceededError, match="^the images for d=4, n=5 hold more letters "
-                                                  "than the letter budget of 8$"):
+    with pytest.raises(BudgetExceededError, match="^the images for d=4, n=5 reached 9 letters, "
+                                                  "more than the letter budget of 8$"):
         words.bounded_table(d, n, rows())
 
 
