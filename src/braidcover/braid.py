@@ -35,19 +35,17 @@ in the order they ran; `run_suite` joins the reports of the suites it runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache, partial
 from itertools import chain
 from operator import add
-from typing import NamedTuple
 
 from . import groupoid, pi1, words
 from .errors import BudgetExceededError
-from .words import FreeAutomorphism
+from .words import FreeAutomorphism, _Frozen
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(_Frozen):
     """Sequence of signed standard generator indices, e.g. (1, 2, -1)."""
 
     d: int
@@ -287,10 +285,7 @@ def braid_matrix(w: BraidWord) -> tuple[tuple[int, ...], ...]:
 
 # -- machine verification reports --------------------------------------------
 
-class CheckResult(NamedTuple):
-    name: str
-    passed: bool
-    detail: str = ""
+CheckResult = namedtuple("CheckResult", "name passed detail", defaults=("",))
 
 
 class Report(tuple):

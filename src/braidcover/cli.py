@@ -14,9 +14,8 @@ subcommand (`_build_parser`), then runs the chosen subcommand's action.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import braid, groupoid
 from .errors import BudgetExceededError
@@ -69,6 +68,8 @@ def _print_matrix(matrix, mode: str) -> None:
 
 def _print_report(report: braid.Report, mode: str) -> int:
     """Print every check and return the exit status: 0 iff all passed."""
+    if mode == "structured":
+        import json  # here alone, so a text-mode call never loads it
     for check in report:
         if mode == "structured":
             # names and details hold spaces and '=', so they print as JSON

@@ -38,24 +38,21 @@ a second check.  A graph whose edge table would exceed
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterable
 from functools import lru_cache, partial
-from typing import Callable, Iterable, NamedTuple
 
 from .errors import EndpointMismatchError
 from .words import _compose_rows, _format_codes, _keep_moved, _moved, _parse_int
-from .words import _parse_tokens, _reduce_onto, _same_params, _substitute, _trusted_init
+from .words import _Frozen, _parse_tokens, _reduce_onto, _same_params, _substitute
 from .words import check_index, check_params, check_table_size
 
 
-class Vertex(NamedTuple):
-    level: int  # 0..n+1
-    sheet: int  # 0 for interior vertices, 1..d on the two boundary columns
+# level 0..n+1; sheet 0 for interior vertices, 1..d on the two boundary columns
+Vertex = namedtuple("Vertex", "level sheet")
 
-
-class Edge(NamedTuple):
-    level: int  # 0..n
-    sheet: int  # 1..d
+# level 0..n; sheet 1..d
+Edge = namedtuple("Edge", "level sheet")
 
 
 def interior(i: int) -> Vertex:
@@ -151,8 +148,7 @@ def _walk(d: int, n: int, start: Vertex, steps: tuple[int, ...]) -> Vertex:
     return at
 
 
-@dataclass(frozen=True)
-class EdgePath:
+class EdgePath(_Frozen):
     """Endpoint-compatible, freely reduced sequence of signed edge steps."""
 
     d: int
@@ -164,8 +160,6 @@ class EdgePath:
         check_params(self.d, self.n, 1)
         _check_vertex(self.d, self.n, self.start)
         _walk(self.d, self.n, self.start, self.steps)
-
-    _trusted = classmethod(_trusted_init)
 
     @property
     def end(self) -> Vertex:
@@ -222,8 +216,7 @@ def path_invert(p: EdgePath) -> EdgePath:
     return EdgePath._trusted(p.d, p.n, p.end, tuple(-s for s in reversed(p.steps)))
 
 
-@dataclass(frozen=True)
-class GroupoidFunctor:
+class GroupoidFunctor(_Frozen):
     """Self-functor given by its edge substitution table alone.
 
     Construction checks that the vertex map read off the rows permutes the
@@ -263,8 +256,6 @@ class GroupoidFunctor:
                 raise EndpointMismatchError(
                     f"image of edge code {code} ends at {end}, expected {stop}"
                 )
-
-    _trusted = classmethod(_trusted_init)
 
     def vertex(self, v: Vertex) -> Vertex:
         """Image of v: v on the boundary; for v[i], where the image of e[i,1] begins."""

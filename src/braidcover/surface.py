@@ -9,13 +9,11 @@ rank 2g + b - 1 = (d-1)(n-1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .words import check_table_size
+from .words import _Frozen, check_table_size
 
 
-@dataclass(frozen=True)
-class SurfaceData:
+class SurfaceData(_Frozen):
     d: int
     n: int
     genus: int

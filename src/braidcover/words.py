@@ -39,17 +39,20 @@ word or row is a reduced word over the basis, so equal maps have equal
 tables; values derived from validated ones (products, images, composites,
 the identity, the three routes' tables) are built through the private
 `_trusted` constructors without a second check.
-All values are immutable and every operation is pure.
+All values are immutable and every operation is pure.  The six value types
+(`Word` and `FreeAutomorphism` here, `EdgePath`, `GroupoidFunctor`,
+`BraidWord` and `SurfaceData` elsewhere) are frozen through one private
+base, `_Frozen`, which reads each class's annotated fields once, so
+importing the package loads no `dataclasses` and no `typing`.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from itertools import chain, compress, count, pairwise
-from operator import itemgetter, ne, neg, sub
-from typing import Iterable, Sequence
+from operator import attrgetter, itemgetter, ne, neg, sub
 
 from .errors import BudgetExceededError, ParameterMismatchError
 
@@ -129,16 +132,66 @@ def bounded_table(d: int, n: int, rows: Iterable[tuple[int, ...] | range]
 
 
 def _trusted_init(cls, *fields):
-    """Build a word, automorphism, path or functor from its field values
-    without validation.
+    """Build a value of one of the `_Frozen` classes from its field values,
+    in the order of `cls._fields`, without validation.
 
     Only for values that are valid by construction because they are derived
     from validated ones.
     """
     self = object.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, fields):
+    for name, value in zip(cls._fields, fields):
         object.__setattr__(self, name, value)
     return self
+
+
+class _Frozen:
+    """Immutable value whose fields are its class's annotated names, in order.
+
+    It behaves as a frozen dataclass would: it is built from its field
+    values by position, and the public constructor then calls
+    `__post_init__`, looked up on the instance, to validate them; `_trusted`
+    skips that call.  A value equals a value of its own class with equal
+    fields, hashes by its fields, refuses assignment and deletion, and
+    prints as `Name(field=value, ...)`.  Unlike a dataclass it generates
+    no code per class, so a cold start pays neither for importing
+    `dataclasses` nor for building six classes with it.
+    """
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = tuple(cls.__annotations__)
+        cls._values = attrgetter(*cls._fields)  # not a method: called as self._values(self)
+
+    def __init__(self, *fields) -> None:
+        if len(fields) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} fields, "
+                            f"got {len(fields)}")
+        for name, value in zip(self._fields, fields):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    _trusted = classmethod(_trusted_init)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = zip(self._fields, self._values(self))
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
 
 
 def _check_row(d: int, n: int, row, code: int = 0) -> None:
@@ -153,8 +206,7 @@ def _check_row(d: int, n: int, row, code: int = 0) -> None:
                          else "word is not freely reduced")
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(_Frozen):
     """Freely reduced word, stored as a tuple of signed basis codes.
 
     The public constructor checks the parameters and the codes, so every
@@ -170,8 +222,6 @@ class Word:
         object.__setattr__(self, "codes", tuple(self.codes))
         check_params(self.d, self.n)
         _check_row(self.d, self.n, self.codes)
-
-    _trusted = classmethod(_trusted_init)
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -559,8 +609,7 @@ def conjugate(x: Word, y: Word) -> Word:
     return multiply(multiply(invert(y), x), y)
 
 
-@dataclass(frozen=True)
-class FreeAutomorphism:
+class FreeAutomorphism(_Frozen):
     """Endomorphism given by its substitution table: row c - 1 holds the
     reduced image codes of the basis generator with code c.
 
@@ -582,8 +631,6 @@ class FreeAutomorphism:
             raise ValueError(f"need {size} generator images, got {len(self.table)}")
         for code, row in enumerate(self.table, start=1):
             _check_row(self.d, self.n, row, code)
-
-    _trusted = classmethod(_trusted_init)
 
     def _view(self, row: tuple[int, ...]) -> Word:
         """A table row as a Word; `_view((c,))` is the generator with code c."""

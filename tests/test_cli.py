@@ -3,6 +3,7 @@
 import argparse
 import functools
 import hashlib
+import os
 import shlex
 import subprocess
 import sys
@@ -321,6 +322,17 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "b=5 g=6 rank=16\n"
+
+
+def test_a_cold_import_loads_no_dataclasses_typing_or_json():
+    # -S, since a site hook may import typing itself; json waits for a
+    # structured verify report
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import braidcover.cli; "
+             "print(*sorted({'dataclasses', 'inspect', 'typing', 'json'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe, src],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
 
 
 def test_oversized_matrix_exits_one_before_allocation(capsys, monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidcover import braid, groupoid, pi1, words
+from braidcover import braid, groupoid, pi1, surface, words
 from braidcover.errors import BudgetExceededError, ParameterMismatchError
 from braidcover.words import (
     FreeAutomorphism,
@@ -925,6 +925,63 @@ def test_word_dataclass_is_hashable_and_immutable():
     assert hash(u) == hash(w(3, 2, "x[1,1]"))
     with pytest.raises(AttributeError):
         u.codes = ()
+
+
+# one value of each frozen value type: its fields, the same with one field
+# changed, and its repr
+_FROZEN_VALUES = [
+    (Word, (3, 2, (1,)), (3, 2, (-1,)), "Word(d=3, n=2, codes=(1,))"),
+    (braid.BraidWord, (3, 2, (1,)), (3, 3, (1,)), "BraidWord(d=3, n=2, letters=(1,))"),
+    (FreeAutomorphism, (2, 2, ((1,),)), (2, 2, ((-1,),)),
+     "FreeAutomorphism(d=2, n=2, table=((1,),))"),
+    (groupoid.EdgePath, (3, 2, groupoid.Vertex(0, 1), (1,)),
+     (3, 2, groupoid.Vertex(0, 1), ()),
+     "EdgePath(d=3, n=2, start=Vertex(level=0, sheet=1), steps=(1,))"),
+    (groupoid.GroupoidFunctor, (1, 2, ((1,), (2,), (3,))), (2, 2, tuple((c,) for c in range(1, 7))),
+     "GroupoidFunctor(d=1, n=2, table=((1,), (2,), (3,)))"),
+    (surface.SurfaceData, (3, 4, 3, 1), (3, 4, 3, 2),
+     "SurfaceData(d=3, n=4, genus=3, boundary=1)"),
+]
+_FROZEN_IDS = [case[0].__name__ for case in _FROZEN_VALUES]
+
+
+@pytest.mark.parametrize("cls, fields, other, text", _FROZEN_VALUES, ids=_FROZEN_IDS)
+def test_a_frozen_value_equals_and_hashes_by_its_class_and_fields(cls, fields, other, text):
+    value = cls(*fields)
+    assert value == cls(*fields) and hash(value) == hash(cls(*fields))
+    assert value != cls(*other)
+    assert value != fields
+    # a value of another class is unequal even with the same fields: a Word
+    # and a BraidWord of the same d, n and tuple differ
+    assert [value == c(*f) for c, f, _, _ in _FROZEN_VALUES] == [
+        c is cls for c, _, _, _ in _FROZEN_VALUES]
+    assert repr(value) == text
+
+
+@pytest.mark.parametrize("cls, fields", [case[:2] for case in _FROZEN_VALUES],
+                         ids=_FROZEN_IDS)
+def test_a_frozen_value_refuses_assignment_and_deletion(cls, fields):
+    value = cls(*fields)
+    for name in ("d", "n", "unknown"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert value == cls(*fields)
+
+
+@pytest.mark.parametrize("cls, fields", [case[:2] for case in _FROZEN_VALUES],
+                         ids=_FROZEN_IDS)
+def test_the_public_constructor_validates_through_the_instance_and_trusted_does_not(
+        cls, fields, monkeypatch):
+    # the hook is looked up when the value is built, so a wrapper set on the
+    # class, as the benchmark's tracer sets one, sees every public construction
+    seen, hook = [], cls.__post_init__
+    monkeypatch.setattr(cls, "__post_init__", lambda self: seen.append(self) or hook(self))
+    value = cls(*fields)
+    assert seen == [value]
+    assert cls._trusted(*fields) == value
+    assert seen == [value]
 
 
 def test_format_word_spells_two_digit_indices():
